@@ -160,10 +160,10 @@ class SplitProcess:
         libcuda_base = self.lower.regions[0][0]
         for i, name in enumerate(ENTRY_POINTS):
             self.entry_table.entries[name] = libcuda_base + 0x100 * (i + 1)
-            self.process.vas.write(
-                table_addr + 8 * i,
-                self.entry_table.entries[name].to_bytes(8, "little"),
-            )
+        self.process.vas.write(
+            table_addr,
+            b"".join(a.to_bytes(8, "little") for a in self.entry_table.entries.values()),
+        )
 
         # 3. The CUDA library initializes inside the lower half: all of
         #    its future memory comes from interposed lower-half mmaps.

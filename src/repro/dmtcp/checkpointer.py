@@ -15,6 +15,7 @@ computes from its own loader registry — and saves the remainder.
 
 from __future__ import annotations
 
+import bisect
 from typing import TYPE_CHECKING
 
 from repro.dmtcp.forked import ForkedCheckpoint
@@ -28,24 +29,50 @@ if TYPE_CHECKING:  # avoid a dmtcp → harness import cycle at runtime
     from repro.harness.fault_injection import FaultInjector
 
 
+def _merge_ranges(skips: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """Sort and coalesce ``(start, size)`` ranges given in any order.
+
+    Returns parallel ``(starts, ends)`` lists of disjoint, non-adjacent
+    half-open intervals in address order — the form
+    :func:`_subtract_merged` walks with a bisect.
+    """
+    starts: list[int] = []
+    ends: list[int] = []
+    for s_start, s_size in sorted(skips):
+        s_end = s_start + s_size
+        if ends and s_start <= ends[-1]:
+            ends[-1] = max(ends[-1], s_end)
+        else:
+            starts.append(s_start)
+            ends.append(s_end)
+    return starts, ends
+
+
+def _subtract_merged(
+    span: tuple[int, int], starts: list[int], ends: list[int]
+) -> list[tuple[int, int]]:
+    """Remove merged skip intervals (see :func:`_merge_ranges`) from
+    ``span``; returns the surviving (start, end) parts in order."""
+    lo, hi = span
+    parts: list[tuple[int, int]] = []
+    # First interval that ends past ``lo``; ends are sorted like starts.
+    i = bisect.bisect_right(ends, lo)
+    while i < len(starts) and starts[i] < hi:
+        if lo < starts[i]:
+            parts.append((lo, starts[i]))
+        lo = ends[i]
+        i += 1
+    if lo < hi:
+        parts.append((lo, hi))
+    return parts
+
+
 def _subtract_ranges(
     span: tuple[int, int], skips: list[tuple[int, int]]
 ) -> list[tuple[int, int]]:
-    """Remove skip ranges from ``span``; returns surviving (start, end) parts."""
-    parts = [span]
-    for s_start, s_size in skips:
-        s_end = s_start + s_size
-        new: list[tuple[int, int]] = []
-        for lo, hi in parts:
-            if s_end <= lo or s_start >= hi:
-                new.append((lo, hi))
-                continue
-            if lo < s_start:
-                new.append((lo, s_start))
-            if s_end < hi:
-                new.append((s_end, hi))
-        parts = new
-    return parts
+    """Remove ``(start, size)`` skip ranges, in any order and possibly
+    overlapping, from ``span``; returns surviving (start, end) parts."""
+    return _subtract_merged(span, *_merge_ranges(skips))
 
 
 class DmtcpCheckpointer:
@@ -165,6 +192,7 @@ class DmtcpCheckpointer:
                 hi = s_start + s_size
                 hi = (hi + PAGE_SIZE - 1) // PAGE_SIZE * PAGE_SIZE
                 skips.append((lo, hi - lo))
+        skip_starts, skip_ends = _merge_ranges(skips)
 
         # A speculative plugin deferred its PCIe drain instead of
         # advancing the app clock; fold it into the background window.
@@ -178,12 +206,18 @@ class DmtcpCheckpointer:
                 background_ns += self.costs.ckpt_region_ns
             else:
                 proc.advance(self.costs.ckpt_region_ns)
-            snapshot = (
-                region.dirty_pages_snapshot()
-                if incremental
-                else region.pages_snapshot()
+            parts = _subtract_merged(
+                (region.start, region.end), skip_starts, skip_ends
             )
-            for lo, hi in _subtract_ranges((region.start, region.end), skips):
+            # A region the skips cover whole (every lower-half region)
+            # saves nothing, so its pages are never copied.
+            if parts:
+                snapshot = (
+                    region.dirty_pages_snapshot()
+                    if incremental
+                    else region.pages_snapshot()
+                )
+            for lo, hi in parts:
                 shift = (lo - region.start) // PAGE_SIZE
                 pages = {
                     pg - shift: data

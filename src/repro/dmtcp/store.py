@@ -34,7 +34,7 @@ from __future__ import annotations
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator
 
 from repro.dmtcp.image import CheckpointImage
 from repro.errors import CheckpointStoreError, CorruptCheckpointError
@@ -336,15 +336,21 @@ class CheckpointStore:
             "size_bytes": entry.size_bytes,
         }
 
-    def export_chain(self, generation: int) -> list[dict]:
+    def export_chain(
+        self, generation: int, *, skip: Collection[int] = ()
+    ) -> list[dict]:
         """Export ``generation`` plus every chain ancestor held by this
-        store, base (full) image first — the ship order of a migration."""
+        store, base (full) image first — the ship order of a migration.
+
+        Generations in ``skip`` (already held by the destination) are not
+        exported; every exported record still verifies its whole chain.
+        """
         entry = self.get(generation)
         by_image = {id(e.image): g for g, e in self._generations.items()}
         records = []
         for img in entry.image.chain():
             owner = by_image.get(id(img))
-            if owner is not None:
+            if owner is not None and owner not in skip:
                 records.append(self.export_generation(owner))
         return records
 

@@ -43,8 +43,13 @@ def page_align_up(n: int) -> int:
     return (n + PAGE_SIZE - 1) & ~(PAGE_SIZE - 1)
 
 
+#: Every well-formed permission string: ``r``/``w``/``x`` or ``-`` in
+#: each of the three positions.
+_VALID_PERMS = frozenset(r + w + x for r in "r-" for w in "w-" for x in "x-")
+
+
 def _check_perms(perms: str) -> str:
-    if len(perms) != 3 or any(c not in ok for c, ok in zip(perms, ("r-", "w-", "x-"))):
+    if perms not in _VALID_PERMS:
         raise AddressSpaceError(f"bad permission string {perms!r}; expected e.g. 'rw-'")
     return perms
 
@@ -285,12 +290,11 @@ class VirtualAddressSpace:
     def overlapping(self, addr: int, size: int) -> list[MemoryRegion]:
         """Regions intersecting ``[addr, addr+size)``, sorted."""
         out = []
-        i = bisect.bisect_right(self._starts, addr) - 1
-        if i < 0:
-            i = 0
-        for s in self._starts[i:]:
-            r = self._regions[s]
-            if r.start >= addr + size:
+        starts = self._starts
+        end = addr + size
+        for i in range(max(bisect.bisect_right(starts, addr) - 1, 0), len(starts)):
+            r = self._regions[starts[i]]
+            if r.start >= end:
                 break
             if r.end > addr:
                 out.append(r)
@@ -386,12 +390,17 @@ class VirtualAddressSpace:
     # -- internals ---------------------------------------------------------------
 
     def _insert(self, region: MemoryRegion) -> None:
-        if self.overlapping(region.start, region.size):
+        # Regions are disjoint and sorted, so only the two bisect
+        # neighbours can intersect the new one.
+        starts = self._starts
+        i = bisect.bisect_left(starts, region.start)
+        if (i > 0 and self._regions[starts[i - 1]].end > region.start) or (
+            i < len(starts) and starts[i] < region.end
+        ):
             raise AddressSpaceError(
                 f"internal: inserting overlapping region at {region.start:#x}"
             )
-        i = bisect.bisect_left(self._starts, region.start)
-        self._starts.insert(i, region.start)
+        starts.insert(i, region.start)
         self._regions[region.start] = region
 
     def _remove(self, region: MemoryRegion) -> None:
@@ -441,26 +450,33 @@ class VirtualAddressSpace:
                         return cand
         # Deterministic next-fit scan from the window base (or the cursor
         # when scanning the default window, to mimic Linux's top-down-ish
-        # monotone behaviour without randomness).
-        start = lo if window is not None else max(lo, self._next_fit_cursor)
-        cand = start
-        while cand + size <= hi:
-            blockers = self.overlapping(cand, size)
-            if not blockers:
+        # monotone behaviour without randomness), then wrap around once.
+        first = lo if window is not None else max(lo, self._next_fit_cursor)
+        for start in (first, lo):
+            cand = self._first_fit(start, size, hi)
+            if cand is not None:
                 if window is None:
                     self._next_fit_cursor = cand + size
                 return cand
-            cand = page_align_up(blockers[-1].end)
-        # Wrap around once for the default window.
-        cand = lo
-        while cand + size <= hi:
-            blockers = self.overlapping(cand, size)
-            if not blockers:
-                if window is None:
-                    self._next_fit_cursor = cand + size
-                return cand
-            cand = page_align_up(blockers[-1].end)
         raise AddressSpaceError(f"out of address space for {size:#x} bytes")
+
+    def _first_fit(self, cand: int, size: int, hi: int) -> int | None:
+        """Lowest address ``>= cand`` whose ``size`` bytes are free and end
+        by ``hi``: one walk over the sorted regions from ``cand``, each
+        blocker moving the candidate to its end."""
+        starts = self._starts
+        i = max(bisect.bisect_right(starts, cand) - 1, 0)
+        while cand + size <= hi:
+            if i == len(starts):
+                return cand
+            r = self._regions[starts[i]]
+            i += 1
+            if r.end <= cand:
+                continue
+            if r.start >= cand + size:
+                return cand
+            cand = page_align_up(r.end)
+        return None
 
 
 def _carve(region: MemoryRegion, addr: int, size: int) -> list[MemoryRegion]:

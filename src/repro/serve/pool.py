@@ -18,8 +18,8 @@ layer's :func:`~repro.cluster.migration._ship_record` retry loop (CRC
 re-verified on arrival, bounded resends) under a
 :meth:`~repro.dmtcp.store.CheckpointStore.pin_guard` so an abandoned
 shipment can never wedge the primary's keep-N GC. Already-shipped
-generations are skipped (incremental deltas ride on their shipped
-parents), and stale shadows on other nodes are dropped after each ship
+generations are never exported again (incremental deltas ride on their
+shipped parents), and stale shadows on other nodes are dropped after each ship
 so the failover target is always the *current* replica.
 """
 
@@ -203,10 +203,7 @@ class SessionPool:
         if state is None or state["src"] is not src_store:
             state = self._ship_maps[key] = {"src": src_store, "images": {}}
         images: dict[int, CheckpointImage] = state["images"]
-        records = [
-            r for r in src_store.export_chain(latest)
-            if r["generation"] not in images
-        ]
+        records = src_store.export_chain(latest, skip=images.keys())
         t = now_ns
         nbytes = 0
         retries = 0

@@ -68,6 +68,44 @@ class TestTimedLoop:
         assert ctx.backend.total_calls - before_calls == 2
 
 
+    def test_fast_forward_after_restart_advances_the_live_process(self):
+        # A restart from a checkpoint callback replaces the backend's
+        # process; iterations fast-forwarded afterwards must advance the
+        # restarted clock, so the job ends no earlier than the
+        # uncheckpointed run plus the restart it paid for.
+        from repro.apps.rodinia.gaussian import Gaussian
+        from repro.core.session import CracSession
+        from repro.dmtcp.store import CheckpointStore
+
+        cuts = (0.2, 0.4, 0.6, 0.8)
+
+        def run(checkpoint):
+            session = CracSession(gpu="V100", seed=0)
+            store = CheckpointStore()
+            taken, reports = [], []
+
+            def cut(progress):
+                while len(taken) < len(cuts) and progress >= cuts[len(taken)]:
+                    taken.append(session.checkpoint(store=store))
+                    if len(taken) == len(cuts):
+                        session.kill()
+                        reports.append(session.restart_latest(store))
+
+            ctx = AppContext(
+                backend=session.backend,
+                upper_mmap=lambda n: session.split.upper_mmap(n),
+                checkpoint_cb=cut if checkpoint else None,
+            )
+            result = Gaussian(scale=0.25, seed=0).run(ctx)
+            return result.digest, session.backend.process.clock_ns, reports
+
+        digest, plain_ns, _ = run(False)
+        job_digest, job_ns, reports = run(True)
+        assert job_digest == digest
+        assert len(reports) == 1
+        assert job_ns >= plain_ns + reports[0].restart_time_ns
+
+
 class TestCudaApp:
     def test_scale_validation(self):
         class A(CudaApp):

@@ -86,3 +86,52 @@ class TestArenaCarving:
     def test_upper_mmap_tracked(self, split):
         addr = split.upper_mmap(4096)
         assert split.loader.half_of(addr) == "upper"
+
+
+#: ``(start, size, perms, tag)`` of every mapping of a fresh split
+#: process, as the placement code has always laid it out. Restart
+#: replays land allocations at recorded addresses, so any drift in
+#: placement would break every checkpoint taken before it.
+GOLDEN_LOWER = [
+    (0x1000_0000_0000, 0x400000, "r-x", "lower:libcuda.so.text"),
+    (0x1000_0040_0000, 0x100000, "rw-", "lower:libcuda.so.data"),
+    (0x1000_0050_0000, 0x100000, "r-x", "lower:libcudart.so.text"),
+    (0x1000_0060_0000, 0x40000, "rw-", "lower:libcudart.so.data"),
+    (0x1000_0064_0000, 0x800000, "r-x", "lower:libcublas.so.text"),
+    (0x1000_00E4_0000, 0x80000, "rw-", "lower:libcublas.so.data"),
+    (0x1000_00EC_0000, 0x200000, "r-x", "lower:libc-lower.so.text"),
+    (0x1000_010C_0000, 0x80000, "rw-", "lower:libc-lower.so.data"),
+    (0x1000_0114_0000, 0x40000, "r-x", "lower:ld-lower.so.text"),
+    (0x1000_0118_0000, 0x10000, "rw-", "lower:ld-lower.so.data"),
+    (0x1000_0119_0000, 0x6000, "r-x", "lower:crac-helper.text"),
+    (0x1000_0119_6000, 0x6000, "rw-", "lower:crac-helper.data"),
+]
+GOLDEN_UPPER = [
+    (0x7000_0000_0000, 0x40000, "r-x", "upper:libcuda-dummy.so.text"),
+    (0x7000_0004_0000, 0x10000, "rw-", "upper:libcuda-dummy.so.data"),
+    (0x7000_0005_0000, 0x200000, "r-x", "upper:libc.so.text"),
+    (0x7000_0025_0000, 0x80000, "rw-", "upper:libc.so.data"),
+    (0x7000_002D_0000, 0x40000, "r-x", "upper:ld.so.text"),
+    (0x7000_0031_0000, 0x10000, "rw-", "upper:ld.so.data"),
+    (0x7000_0032_0000, 0x80000, "r-x", "upper:app.text"),
+    (0x7000_003A_0000, 0x80000, "rw-", "upper:app.data"),
+    (0x7000_0042_0000, 0x400000, "rw-", "upper:[heap]"),
+    (0x7000_0082_0000, 0x800000, "rw-", "upper:[stack]"),
+]
+
+
+class TestGoldenLayout:
+    @pytest.mark.parametrize("load_upper", [True, False])
+    def test_fresh_layout_matches_golden(self, load_upper):
+        split = SplitProcess(load_upper=load_upper)
+        got = [(r.start, r.size, r.perms, r.tag) for r in split.process.vas.regions()]
+        assert got == GOLDEN_LOWER + (GOLDEN_UPPER if load_upper else [])
+
+    def test_whole_entry_table_is_written(self, split):
+        table = split.process.vas.read(
+            split.entry_table.table_addr, 8 * len(ENTRY_POINTS)
+        )
+        assert [
+            int.from_bytes(table[8 * i : 8 * i + 8], "little")
+            for i in range(len(ENTRY_POINTS))
+        ] == [split.entry_table.resolve(name) for name in ENTRY_POINTS]

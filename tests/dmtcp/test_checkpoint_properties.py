@@ -95,11 +95,41 @@ def test_skip_ranges_never_leak_into_image(specs, skips):
             )
 
 
-@settings(max_examples=200)
-@given(
-    st.tuples(st.integers(0, 100), st.integers(1, 100)),
-    st.lists(st.tuples(st.integers(0, 120), st.integers(1, 40)), max_size=5),
-)
+def _skip_lists():
+    """Skip lists in any order, with overlapping, adjacent, nested and
+    duplicated ranges: each extra range is derived from an earlier one."""
+    base = st.tuples(st.integers(0, 120), st.integers(1, 40))
+    derived = st.tuples(
+        st.sampled_from(["adjacent-after", "adjacent-before", "overlap", "nested", "dup"]),
+        st.integers(1, 20),
+    )
+
+    def build(args):
+        firsts, extras, order = args
+        skips = list(firsts)
+        for i, (kind, k) in enumerate(extras):
+            s, sz = skips[i % len(skips)]
+            if kind == "adjacent-after":
+                skips.append((s + sz, k))
+            elif kind == "adjacent-before":
+                skips.append((max(s - k, 0), min(k, s) or 1))
+            elif kind == "overlap":
+                skips.append((s + sz // 2, sz + k))
+            elif kind == "nested":
+                skips.append((s, max(sz - k, 1)))
+            else:
+                skips.append((s, sz))
+        return [skips[i % len(skips)] for i in order] if order else skips
+
+    return st.tuples(
+        st.lists(base, min_size=1, max_size=4),
+        st.lists(derived, max_size=4),
+        st.one_of(st.just(None), st.permutations(range(8))),
+    ).map(build) | st.lists(base, max_size=5)
+
+
+@settings(max_examples=400)
+@given(st.tuples(st.integers(0, 100), st.integers(1, 100)), _skip_lists())
 def test_subtract_ranges_properties(span, skips):
     lo, width = span
     hi = lo + width
@@ -120,3 +150,15 @@ def test_subtract_ranges_properties(span, skips):
         if any(s <= x < s + sz for s, sz in skips_se):
             skipped_inside += 1
     assert covered == (hi - lo) - skipped_inside
+    # The parts are exactly the maximal runs of unskipped points, and
+    # the answer does not depend on the order the skips come in.
+    runs: list[tuple[int, int]] = []
+    for x in range(lo, hi):
+        if any(s <= x < s + sz for s, sz in skips_se):
+            continue
+        if runs and runs[-1][1] == x:
+            runs[-1] = (runs[-1][0], x + 1)
+        else:
+            runs.append((x, x + 1))
+    assert parts == runs
+    assert _subtract_ranges((lo, hi), sorted(skips_se, reverse=True)) == parts
