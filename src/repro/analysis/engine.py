@@ -53,6 +53,14 @@ def _package_root(root: str | Path | None) -> Path:
     return Path(__file__).resolve().parents[1]  # src/repro
 
 
+def package_index(root: str | Path | None = None) -> PackageIndex:
+    """Index ``src/repro`` (or ``root``) minus the planted libraries."""
+    pkg = _package_root(root)
+    return PackageIndex.from_dir(
+        pkg, rel_to=pkg.parent, exclude_parts=EXCLUDED_PARTS
+    )
+
+
 def analyze_package(
     root: str | Path | None = None,
     *,
@@ -65,10 +73,7 @@ def analyze_package(
     entries that must be deleted), the per-API wiring ``inventory``,
     and ``ok`` (no unbaselined findings).
     """
-    pkg = _package_root(root)
-    index = PackageIndex.from_dir(
-        pkg, rel_to=pkg.parent, exclude_parts=EXCLUDED_PARTS
-    )
+    index = package_index(root)
     findings, inventory = analyze_index(index)
     baseline = baseline if baseline is not None else Baseline()
     unbaselined, baselined, unused = baseline.split(findings)

@@ -700,8 +700,10 @@ def cmd_serve_bench(args, out) -> int:
     if args.update_baseline or args.baseline == "-":
         gate_path = None
     elif not os.path.exists(baseline_path):
-        print(f"note: no baseline at {baseline_path}; "
-              "gate records this run only", file=out)
+        print(f"error: no serve baseline at {baseline_path}; record one "
+              "with --update-baseline, or pass --baseline - to run "
+              "without the gate", file=out)
+        return 1
     report = run_serve_bench(
         sessions=args.sessions,
         nodes=args.nodes,

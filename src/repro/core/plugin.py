@@ -23,11 +23,11 @@ from repro.gpu.timing import NS_PER_S
 from repro.gpu.uvm import UVM_PAGE, ManagedBuffer
 
 
-def _resident_dirty_bytes(buf: ManagedBuffer) -> int:
-    """Dirty bytes of a managed buffer that live on device-resident pages
-    (only those cross PCIe at drain/refill time)."""
+def _resident_dirty_bytes(buf: ManagedBuffer, dirty: list[tuple[int, int]]) -> int:
+    """Bytes of the ``dirty`` spans of a managed buffer that live on
+    device-resident pages (only those cross PCIe at drain/refill time)."""
     total = 0
-    for lo, hi in buf.contents.dirty_spans():
+    for lo, hi in dirty:
         for pg in range(lo // UVM_PAGE, (hi - 1) // UVM_PAGE + 1):
             if pg < buf.num_pages and buf.residency[pg] == 1:
                 total += min(hi, (pg + 1) * UVM_PAGE) - max(lo, pg * UVM_PAGE)
@@ -99,26 +99,28 @@ class CracPlugin(DmtcpPlugin):
         for buf in runtime.active_allocations():
             is_managed = isinstance(buf, ManagedBuffer)
             kind = "managed" if is_managed else buf.kind
-            dirty_spans = tuple(buf.contents.dirty_spans())
+            # One read of the dirty index per buffer; a clean buffer
+            # (most of them, between cuts) costs O(1) from here on.
+            dirty = buf.contents.dirty_spans()
             entry = {
                 "kind": kind,
                 "size": buf.size,
                 "uid": buf.uid,
                 "delta": delta,
                 "snapshot": (
-                    buf.contents.dirty_snapshot()
+                    buf.contents.dirty_snapshot(dirty)
                     if delta
                     else buf.contents.snapshot()
                 ),
             }
             entry["image_bytes"] = (
-                buf.contents.dirty_byte_count if delta else buf.size
+                sum(hi - lo for lo, hi in dirty) if delta else buf.size
             )
             if is_managed:
                 entry["residency"] = buf.residency.copy()
                 # Only device-resident pages cross PCIe at drain time.
                 entry["pcie_bytes"] = (
-                    _resident_dirty_bytes(buf)
+                    _resident_dirty_bytes(buf, dirty)
                     if delta
                     else int((buf.residency == 1).sum()) * UVM_PAGE
                 )
@@ -132,7 +134,7 @@ class CracPlugin(DmtcpPlugin):
             # live buffer only when the image durably commits — and only
             # where no later write superseded them (epoch-bounded).
             image.record_contents_capture(
-                buf.contents, dirty_spans, buf.contents.write_seq
+                buf.contents, tuple(dirty), buf.contents.write_seq
             )
         drain_ns = drain_bytes / runtime.device.spec.pcie_bw * NS_PER_S
         if image.speculative:

@@ -504,13 +504,17 @@ class CracSession:
         #    arena reused the address for a *different* allocation —
         #    resets the merge so stale bytes never leak across a free.
         refill_bytes = 0
+        chain_buffers = [
+            img.blobs["crac/buffers"].payload
+            for img in image.chain()
+            if "crac/buffers" in img.blobs
+        ]
         for addr, final_entry in buffers.items():
             seq: list[dict] = []
-            for img in image.chain():
-                blob = img.blobs.get("crac/buffers")
-                if blob is None or addr not in blob.payload:
+            for payload in chain_buffers:
+                entry = payload.get(addr)
+                if entry is None:
                     continue
-                entry = blob.payload[addr]
                 if (
                     entry.get("delta")
                     and seq

@@ -857,11 +857,13 @@ class CudaRuntime:
     def active_allocations(self, kinds: tuple[str, ...] = ("device", "host-pinned", "managed")) -> list:
         """Live (not freed) buffers — what CRAC saves at checkpoint."""
         out = []
-        for buf in self.buffers.values():
+        # Buffers are keyed by address, and keys are unique, so sorting
+        # the items never compares two buffers.
+        for _addr, buf in sorted(self.buffers.items()):
             kind = "managed" if isinstance(buf, ManagedBuffer) else buf.kind
             if kind in kinds:
                 out.append(buf)
-        return sorted(out, key=lambda b: b.addr)
+        return out
 
     # ------------------------------------------------------- restart adoption
     # CRAC recreates streams/events in the fresh lower half and virtualizes

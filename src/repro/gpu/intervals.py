@@ -266,11 +266,15 @@ class EpochIntervalIndex:
     @property
     def byte_count(self) -> int:
         """Total dirty bytes."""
+        if not self:
+            return 0
         self._flush()
         return int((self._ends - self._starts).sum())
 
     def bytes_since(self, epoch: int) -> int:
         """Bytes whose last write came strictly after ``epoch``."""
+        if epoch >= self._last_epoch:
+            return 0  # no interval is newer than the last mark
         self._flush()
         sel = self._epochs > epoch
         return int((self._ends[sel] - self._starts[sel]).sum())
@@ -302,11 +306,13 @@ class EpochIntervalIndex:
         that epoch are cleared — bytes re-written while a (forked) image
         was still flushing stay dirty for the next incremental cut.
         """
+        if not spans or not self:
+            return
         self._flush()
         c = np.asarray(
             [(lo, hi) for lo, hi in spans if hi > lo], dtype=np.int64
         ).reshape(-1, 2)
-        if c.size == 0 or self._starts.size == 0:
+        if c.size == 0:
             return
         c_lo, c_hi = _normalize(c[:, 0], c[:, 1])
         bounds = np.unique(np.concatenate([

@@ -168,14 +168,15 @@ class PagedContents:
         copy-on-write exposure of a snapshot taken at that epoch."""
         return self._dirty.bytes_since(epoch)
 
-    def dirty_snapshot(self) -> dict:
+    def dirty_snapshot(self, dirty: list[tuple[int, int]]) -> dict:
         """Deep copy of only the dirtied byte ranges (a GPU *delta*).
 
-        ``whole=True`` marks a delta that happens to cover the entire
-        buffer (e.g. after ``fill``); applying it is equivalent to a full
-        :meth:`restore`, which also resets the fill value.
+        ``dirty`` is :meth:`dirty_spans`, read once by the caller, which
+        also derives its accounting from it. ``whole=True`` marks a delta
+        that happens to cover the entire buffer (e.g. after ``fill``);
+        applying it is equivalent to a full :meth:`restore`, which also
+        resets the fill value.
         """
-        dirty = self.dirty_spans()
         if dirty == [(0, self.size)]:
             snap = self.snapshot()
             snap["whole"] = True

@@ -163,15 +163,23 @@ def run_cell(
 
 
 def evaluate_gate(report: dict, baseline_path: str | None) -> dict:
-    """Compare campaign totals against the committed baseline."""
+    """Compare campaign totals against the committed baseline.
+
+    ``baseline_path=None`` records the run without gating it. A named
+    baseline that does not exist fails the gate: it can never pass
+    vacuously.
+    """
     gate: dict = {
         "baseline": baseline_path,
         "baseline_found": False,
         "resume_limit": RESUME_REGRESSION_LIMIT,
         "throughput_floor": THROUGHPUT_FLOOR,
     }
-    if not baseline_path or not os.path.exists(baseline_path):
+    if baseline_path is None:
         gate["ok"] = True
+        return gate
+    if not os.path.exists(baseline_path):
+        gate["ok"] = False
         return gate
     with open(baseline_path) as fh:
         base = json.load(fh)
@@ -324,8 +332,10 @@ def format_serve_bench(report: dict) -> str:
         f"{t['sessions_per_sec']:.1f} sessions/s"
     )
     gate = report["gate"]
-    if not gate.get("baseline_found"):
+    if gate["baseline"] is None:
         lines.append("  gate:   no baseline — recording run only")
+    elif not gate["baseline_found"]:
+        lines.append(f"  gate:   FAILED — no baseline at {gate['baseline']}")
     else:
         lines.append(
             f"  gate:   p99 ratio {gate['resume_ratio']:.2f} "

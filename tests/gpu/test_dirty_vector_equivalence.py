@@ -64,6 +64,9 @@ def replay_both(ops):
             assert legacy.spans() == vector.spans()
             assert legacy.byte_count == vector.byte_count
             assert legacy.bytes_since(snap) == vector.bytes_since(snap)
+            # Nothing is newer than the newest mark (the O(1) answer).
+            assert legacy.bytes_since(epoch) == vector.bytes_since(epoch) == 0
+            assert not any(ep > epoch for ep in model.values())
             snap = epoch
     return legacy, vector, model
 

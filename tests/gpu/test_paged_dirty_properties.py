@@ -80,7 +80,7 @@ def test_dirty_snapshot_replays_onto_committed_clone(base_ops, ops):
     clone.write_bytes(0, c.read_bytes(0, SIZE))  # last-committed state
 
     apply_ops(c, ops)
-    clone.apply_delta(c.dirty_snapshot())
+    clone.apply_delta(c.dirty_snapshot(c.dirty_spans()))
     assert clone.read_bytes(0, SIZE) == c.read_bytes(0, SIZE)
     assert clone.equal_contents(c)
 
@@ -96,10 +96,10 @@ def test_delta_chain_over_two_commits(base_ops, ops1, ops2):
     clone.write_bytes(0, c.read_bytes(0, SIZE))
 
     apply_ops(c, ops1)
-    d1 = c.dirty_snapshot()
+    d1 = c.dirty_snapshot(c.dirty_spans())
     c.clear_dirty()
     apply_ops(c, ops2)
-    d2 = c.dirty_snapshot()
+    d2 = c.dirty_snapshot(c.dirty_spans())
     c.clear_dirty()
 
     clone.apply_delta(d1)

@@ -1,9 +1,11 @@
 """serve-bench harness: cells, totals, gate, baseline round-trip."""
 
+import io
 import json
 
 import pytest
 
+from repro.cli import main
 from repro.harness.serve_bench import (
     _percentile,
     baseline_payload,
@@ -75,10 +77,33 @@ def test_gate_against_baseline_file(tiny_report, tmp_path):
     assert not evaluate_gate(worse, str(path))["ok"]
 
 
-def test_missing_baseline_records_only(tiny_report):
-    gate = evaluate_gate(tiny_report, "benchmarks/definitely-missing.json")
+def test_no_baseline_records_only(tiny_report):
+    # The --baseline - / --update-baseline path: nothing to gate against.
+    gate = evaluate_gate(tiny_report, None)
     assert not gate["baseline_found"]
     assert gate["ok"]
+    assert "recording run only" in format_serve_bench(tiny_report)
+
+
+def test_missing_named_baseline_fails(tiny_report):
+    gate = evaluate_gate(tiny_report, "benchmarks/definitely-missing.json")
+    assert not gate["baseline_found"]
+    assert gate["ok"] is False
+    failed = dict(tiny_report, gate=gate, ok=False)
+    text = format_serve_bench(failed)
+    assert "no baseline at benchmarks/definitely-missing.json" in text
+    assert "result: FAILED" in text
+
+
+def test_cli_exits_1_on_missing_baseline(tmp_path):
+    missing = tmp_path / "missing.json"
+    out = io.StringIO()
+    code = main(
+        ["serve-bench", "--smoke", "--baseline", str(missing), "--out", "-"],
+        out=out,
+    )
+    assert code == 1
+    assert f"no serve baseline at {missing}" in out.getvalue()
 
 
 def test_format_is_human_readable(tiny_report):
