@@ -24,12 +24,15 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.replay_log import ReplayLog
 from repro.cuda.api import CudaRuntime, FatBinary
 from repro.cuda.interface import CudaDispatchBase
 from repro.dmtcp.coordinator import DmtcpCoordinator
 from repro.gpu.streams import Event, Stream
 from repro.gpu.timing import DEFAULT_HOST_COSTS, HostCosts
+from repro.linux.process import SYSCALL_NS, WRFSBASE_NS
 
 
 class CracBackend(CudaDispatchBase):
@@ -46,7 +49,6 @@ class CracBackend(CudaDispatchBase):
         runtime: CudaRuntime,
         host_costs: HostCosts = DEFAULT_HOST_COSTS,
         *,
-        lower_fs_base: int = 0x1000,
         upper_fs_base: int = 0x2000,
         virtualize_addresses: bool = False,
     ) -> None:
@@ -60,7 +62,6 @@ class CracBackend(CudaDispatchBase):
         self._v2r: dict[int, int] = {}
         self._virt_cursor = self.VIRT_BASE
         self.coordinator: DmtcpCoordinator | None = None
-        self._lower_fs = lower_fs_base
         self._upper_fs = upper_fs_base
         # Fat-binary virtualization: app-visible handle -> (real handle,
         # FatBinary, registered function names).
@@ -87,12 +88,23 @@ class CracBackend(CudaDispatchBase):
         # pointers directly to the lower half (the paper's key win).
         proc = self.process
         thread = self.current_thread if self.current_thread is not None else proc.threads[0]
-        # Enter the lower half: switch fs to the lower half's TLS...
-        proc.set_fs_register(thread, self._lower_fs)
-        # ...table indirection + the call itself...
-        proc.advance(self.costs.trampoline_body_ns + self.costs.native_dispatch_ns)
-        # ...and return to the upper half.
-        proc.set_fs_register(thread, self._upper_fs)
+        # Two fs switches per call, each a wrfsbase or a syscall
+        # (SimProcess.set_fs_register, fused): the clock takes the
+        # switch into the lower half's TLS, then the table indirection
+        # and the call itself, then the switch back, in that order.
+        proc.fs_switch_count += 2
+        if proc.fsgsbase:
+            fs_ns = WRFSBASE_NS
+        else:
+            fs_ns = SYSCALL_NS
+            proc.syscall_count += 2
+        costs = self.costs
+        clock = proc.clock_ns + fs_ns
+        clock += costs.trampoline_body_ns + costs.native_dispatch_ns
+        proc.clock_ns = clock + fs_ns
+        # The lower-half fs value lives only inside the call; the thread
+        # leaves it holding the upper half's TLS.
+        thread.fs_base = self._upper_fs
         if self.coordinator is not None:
             self.coordinator.notify_call()
 
@@ -101,8 +113,6 @@ class CracBackend(CudaDispatchBase):
         # path: same virtual time, same fs-switch/syscall counters, and
         # — when a coordinator is attached — the same clock and counter
         # values at every notify_call (a checkpoint may fire there).
-        from repro.linux.process import SYSCALL_NS, WRFSBASE_NS
-
         proc = self.process
         thread = (
             self.current_thread if self.current_thread is not None
@@ -205,10 +215,14 @@ class CracBackend(CudaDispatchBase):
     # -- translated data-path entry points ---------------------------------------
 
     def memcpy(self, dst, src, nbytes, kind, **kw):
-        super().memcpy(self._to_real(dst), self._to_real(src), nbytes, kind, **kw)
+        if self.virtualize_addresses:
+            dst, src = self._to_real(dst), self._to_real(src)
+        super().memcpy(dst, src, nbytes, kind, **kw)
 
     def memset(self, addr, value, nbytes, **kw):
-        super().memset(self._to_real(addr), value, nbytes, **kw)
+        if self.virtualize_addresses:
+            addr = self._to_real(addr)
+        super().memset(addr, value, nbytes, **kw)
 
     def launch(self, name, fn=None, *, managed=(), **kw):
         if self.virtualize_addresses:
@@ -230,16 +244,12 @@ class CracBackend(CudaDispatchBase):
         return super().pointer_get_attributes(self._to_real(addr))
 
     def device_view(self, addr, nbytes, dtype=None, offset: int = 0):
-        import numpy as np
-
         return super().device_view(
             self._to_real(addr), nbytes, dtype if dtype is not None else np.uint8,
             offset,
         )
 
     def managed_view(self, addr, nbytes, dtype=None, offset: int = 0):
-        import numpy as np
-
         return super().managed_view(
             self._to_real(addr), nbytes, dtype if dtype is not None else np.uint8,
             offset,

@@ -161,26 +161,27 @@ class CudaRuntime:
 
     def _entry(self, name: str) -> None:
         """Common prologue of every CUDA entry point."""
-        cuda_check(
-            not self.destroyed,
-            CudaErrorCode.INITIALIZATION_ERROR,
-            "CUDA library has been destroyed",
-        )
-        cuda_check(
-            self._lib_uva_epoch == self.ctx.uva_epoch,
-            CudaErrorCode.LIBRARY_STATE_INCONSISTENT,
-            "library UVA/UVM state inconsistent with driver context "
-            "(restored library memory cannot be reconciled — §2.2)",
-        )
+        if self.destroyed or self._lib_uva_epoch != self.ctx.uva_epoch:
+            cuda_check(
+                not self.destroyed,
+                CudaErrorCode.INITIALIZATION_ERROR,
+                "CUDA library has been destroyed",
+            )
+            cuda_check(
+                self._lib_uva_epoch == self.ctx.uva_epoch,
+                CudaErrorCode.LIBRARY_STATE_INCONSISTENT,
+                "library UVA/UVM state inconsistent with driver context "
+                "(restored library memory cannot be reconciled — §2.2)",
+            )
         self.api_log[name] += 1
 
     def _buffer(self, addr: int) -> DeviceBuffer | ManagedBuffer:
         buf = self.buffers.get(addr)
-        cuda_check(
-            buf is not None and not buf.freed,
-            CudaErrorCode.INVALID_DEVICE_POINTER,
-            f"unknown or freed pointer {addr:#x}",
-        )
+        if buf is None or buf.freed:
+            raise cuda_error(
+                CudaErrorCode.INVALID_DEVICE_POINTER,
+                f"unknown or freed pointer {addr:#x}",
+            )
         return buf
 
     def _stream(self, stream: Stream | None) -> Stream:
@@ -361,24 +362,35 @@ class CudaRuntime:
         until the DMA completes; async copies only enqueue.
         """
         self._entry("cudaMemcpyAsync" if async_ else "cudaMemcpy")
-        cuda_check(
-            kind in ("h2d", "d2h", "d2d"),
-            CudaErrorCode.INVALID_VALUE,
-            f"bad memcpy kind {kind!r}",
-        )
-        s = self._stream(stream)
-        dev_addr = dst if kind == "h2d" else src
+        if kind == "h2d":
+            dev_addr, host_end, host_offset = dst, src, src_offset
+        elif kind == "d2h":
+            dev_addr, host_end, host_offset = src, dst, dst_offset
+        elif kind == "d2d":
+            dev_addr = src
+        else:
+            raise cuda_error(
+                CudaErrorCode.INVALID_VALUE, f"bad memcpy kind {kind!r}"
+            )
+        s = stream if stream is not None else self.default_stream
         dev = self._device_for(stream, dev_addr if isinstance(dev_addr, (int, np.integer)) else None)
         # Pageable host memory cannot be DMA'd directly: the driver stages
         # through a pinned bounce buffer, costing ~35% of the PCIe rate.
         # (Pinned memory — cudaMallocHost/cudaHostAlloc — goes full rate,
         # which is why simpleStreams allocates its destination pinned.)
         effective = nbytes
-        if kind in ("h2d", "d2h"):
-            host_end = src if kind == "h2d" else dst
-            host_buf, _ = self._resolve_host_ptr(host_end)
-            if host_buf is None:  # numpy array or plain VAS memory
+        host_buf = host_span = None
+        if kind != "d2d":
+            # The host end is resolved once: a pinned/managed buffer, a
+            # numpy array (checked here, before any time is charged) or
+            # plain VAS memory.
+            host_buf, host_off = self._resolve_host_ptr(host_end)
+            if host_buf is None:
                 effective = int(nbytes / PAGEABLE_COPY_EFFICIENCY)
+                if not isinstance(host_end, (int, np.integer)):
+                    host_span = self._host_array_span(
+                        host_end, host_offset, nbytes, kind
+                    )
         if self.sanitizer is not None:
             # Before the enqueue and the _buffer lookups below, so
             # memcheck records wild/freed pointers before the raise.
@@ -386,40 +398,42 @@ class CudaRuntime:
                 self, s, kind, dst, src, nbytes, dst_offset, src_offset,
                 async_,
             )
-        end = dev.enqueue_copy(s, effective, kind, at_ns=self.now)
-        if kind in ("h2d", "d2h"):
+        end = dev.enqueue_copy(s, effective, kind, at_ns=self.process.clock_ns)
+        if kind != "d2d" and dev.fault_injector is not None:
             self._xfer_crc_trip(dev, s, kind, dst, src, nbytes,
                                 dst_offset, src_offset)
         if kind == "h2d":
             buf = self._buffer(dst)
-            host_buf, host_off = self._resolve_host_ptr(src)
             if host_buf is not None:
                 buf.contents.copy_from(
                     host_buf.contents, host_off + src_offset, dst_offset, nbytes
                 )
+            elif host_span is not None:
+                buf.contents.write_bytes(dst_offset, host_span)
             else:
-                data = self._host_bytes(src, src_offset, nbytes)
-                buf.contents.write_bytes(dst_offset, data)
+                buf.contents.write_bytes(
+                    dst_offset, self.process.vas.read(int(src) + src_offset, nbytes)
+                )
             if isinstance(buf, ManagedBuffer):
                 self.uvm.device_access(buf, dst_offset, nbytes)
         elif kind == "d2h":
             buf = self._buffer(src)
             if isinstance(buf, ManagedBuffer):
                 self.uvm.host_access(buf, src_offset, nbytes, write=False)
-            host_buf, host_off = self._resolve_host_ptr(dst)
             if host_buf is not None:
                 host_buf.contents.copy_from(
                     buf.contents, src_offset, host_off + dst_offset, nbytes
                 )
+            elif host_span is not None:
+                buf.contents.read_bytes(src_offset, nbytes, out=host_span)
             else:
-                data = buf.contents.read_bytes(src_offset, nbytes)
-                self._host_store(dst, dst_offset, data)
-        elif kind == "d2d":
+                self.process.vas.write(
+                    int(dst) + dst_offset, buf.contents.read_bytes(src_offset, nbytes)
+                )
+        else:
             sbuf = self._buffer(src)
             dbuf = self._buffer(dst)
             dbuf.contents.copy_from(sbuf.contents, src_offset, dst_offset, nbytes)
-        else:
-            cuda_check(False, CudaErrorCode.INVALID_VALUE, f"bad kind {kind!r}")
         if not async_:
             self.process.advance_to(end)
 
@@ -436,10 +450,8 @@ class CudaRuntime:
         memcpy is a clean retransfer. The check is genuine: the source
         window's CRC is compared against the CRC of the in-flight bytes
         with one flipped bit, and the mismatch — not the injector —
-        raises the retryable error.
+        raises the retryable error. Called only with an injector attached.
         """
-        if dev.fault_injector is None:
-            return
         if dev.fault_injector.trip("xfer-corrupt", f"memcpy-{kind}") is None:
             return
         window = min(nbytes, self.XFER_CRC_WINDOW)
@@ -488,16 +500,29 @@ class CudaRuntime:
         arr = np.ascontiguousarray(src).view(np.uint8).ravel()
         return arr[offset : offset + nbytes].tobytes()
 
-    def _host_store(self, dst, offset: int, data: bytes) -> None:
-        if isinstance(dst, (int, np.integer)):
-            self.process.vas.write(int(dst) + offset, data)
-            return
-        if not dst.flags["C_CONTIGUOUS"]:
-            cuda_check(
-                False, CudaErrorCode.INVALID_VALUE, "d2h into non-contiguous host array"
+    @staticmethod
+    def _host_array_span(host, offset: int, nbytes: int, kind: str) -> np.ndarray:
+        """The uint8 span ``[offset, offset+nbytes)`` of a numpy host end.
+
+        A d2h destination must be C-contiguous (the copy lands in place);
+        an h2d source may be any array. Either must hold the whole span.
+        """
+        if kind == "d2h":
+            if not host.flags["C_CONTIGUOUS"]:
+                raise cuda_error(
+                    CudaErrorCode.INVALID_VALUE,
+                    "d2h into non-contiguous host array",
+                )
+            arr = host.view(np.uint8).reshape(-1)
+        else:
+            arr = np.ascontiguousarray(host).view(np.uint8).reshape(-1)
+        if offset < 0 or offset + nbytes > arr.size:
+            raise cuda_error(
+                CudaErrorCode.INVALID_VALUE,
+                f"memcpy-{kind} of {nbytes} B at host offset {offset} "
+                f"overruns a {arr.size}-byte host array",
             )
-        arr = dst.view(np.uint8).reshape(-1)
-        arr[offset : offset + len(data)] = np.frombuffer(data, dtype=np.uint8)
+        return arr[offset : offset + nbytes]
 
     def cudaMemset(
         self,
@@ -551,40 +576,45 @@ class CudaRuntime:
         instance — the §3.2.5 invariant CRAC re-establishes at restart.
         """
         self._entry("cudaLaunchKernel")
-        cuda_check(
-            name in self._registered_kernels,
-            CudaErrorCode.INITIALIZATION_ERROR,
-            f"kernel {name!r} launched but its fat binary is not registered "
-            "with this CUDA library instance",
-        )
-        s = self._stream(stream)
+        if name not in self._registered_kernels:
+            raise cuda_error(
+                CudaErrorCode.INITIALIZATION_ERROR,
+                f"kernel {name!r} launched but its fat binary is not "
+                "registered with this CUDA library instance",
+            )
+        if stream is None:
+            s = self.default_stream
+            cuda_check(
+                self.current_device == 0,
+                CudaErrorCode.NOT_SUPPORTED,
+                "default-stream launch on a non-zero device: create a stream "
+                "with cudaStreamCreate after cudaSetDevice",
+            )
+        else:
+            s = stream
         dev = self._device_for(stream)
-        cuda_check(
-            stream is not None or self.current_device == 0,
-            CudaErrorCode.NOT_SUPPORTED,
-            "default-stream launch on a non-zero device: create a stream "
-            "with cudaStreamCreate after cudaSetDevice",
-        )
         migration = 0.0
         uses = list(managed)
+        uvm = self.uvm
         for use in uses:
             buf = self._buffer(use.addr)
-            cuda_check(
-                isinstance(buf, ManagedBuffer),
-                CudaErrorCode.INVALID_DEVICE_POINTER,
-                "managed= declared on a non-managed pointer",
-            )
-            migration += self.uvm.device_access(buf, use.offset, use.nbytes)
+            if not isinstance(buf, ManagedBuffer):
+                raise cuda_error(
+                    CudaErrorCode.INVALID_DEVICE_POINTER,
+                    "managed= declared on a non-managed pointer",
+                )
+            migration += uvm.device_access(buf, use.offset, use.nbytes)
         if duration_ns is None:
             duration_ns = dev.spec.kernel_cost_ns(flop, bytes_touched)
         duration_ns += migration
-        end = dev.enqueue_kernel(s, duration_ns, at_ns=self.now, label=name)
+        now = self.process.clock_ns
+        end = dev.enqueue_kernel(s, duration_ns, at_ns=now, label=name)
         start = end - duration_ns
         for use in uses:
             if "w" in use.mode:
-                self.uvm.record_device_write(
+                uvm.record_device_write(
                     self.buffers[use.addr], use.offset, use.nbytes, s,
-                    start, end, now_ns=self.now,
+                    start, end, now_ns=now,
                 )
         san_op = None
         if self.sanitizer is not None:

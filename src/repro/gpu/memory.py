@@ -220,8 +220,11 @@ class PagedContents:
         The viewed range is conservatively marked dirty: the caller holds
         a writable view, so these bytes *may* change under us.
         """
-        self._check(offset, nbytes)
-        self._mark_dirty(offset, nbytes)
+        if offset < 0 or nbytes < 0 or offset + nbytes > self.size:
+            self._check(offset, nbytes)
+        if nbytes > 0:  # _mark_dirty, inlined on this hot path
+            self._write_seq += 1
+            self._dirty.mark(offset, offset + nbytes, self._write_seq)
         exact = self._spans.get(offset)
         if exact is not None and exact.nbytes == nbytes:
             return exact.view(dtype)
@@ -244,16 +247,34 @@ class PagedContents:
         arr = np.frombuffer(data, dtype=np.uint8) if isinstance(data, (bytes, bytearray, memoryview)) else np.ascontiguousarray(data).view(np.uint8).ravel()
         self.view(offset, arr.nbytes)[:] = arr
 
-    def read_bytes(self, offset: int, nbytes: int) -> bytes:
-        """Copy bytes out of the buffer (holes read as the fill value)."""
+    def read_bytes(
+        self, offset: int, nbytes: int, out: np.ndarray | None = None
+    ) -> bytes | None:
+        """Copy bytes out of the buffer (holes read as the fill value).
+
+        With ``out`` (a writable uint8 array of ``nbytes`` elements) the
+        bytes land there in place and nothing is returned.
+        """
         self._check(offset, nbytes)
-        out = np.full(nbytes, self.fill_value, dtype=np.uint8)
+        exact = self._spans.get(offset)
+        if exact is not None and exact.nbytes == nbytes:
+            # Spans are disjoint, so one that matches exactly is the
+            # whole answer.
+            if out is None:
+                return exact.tobytes()
+            out[:] = exact
+            return None
+        if out is None:
+            buf = np.full(nbytes, self.fill_value, dtype=np.uint8)
+        else:
+            buf = out
+            buf[:] = self.fill_value
         for s, a in self._spans.items():
             if s < offset + nbytes and s + a.nbytes > offset:
                 lo = max(s, offset)
                 hi = min(s + a.nbytes, offset + nbytes)
-                out[lo - offset : hi - offset] = a[lo - s : hi - s]
-        return out.tobytes()
+                buf[lo - offset : hi - offset] = a[lo - s : hi - s]
+        return buf.tobytes() if out is None else None
 
     def copy_from(
         self, other: "PagedContents", src_offset: int, dst_offset: int, nbytes: int

@@ -132,8 +132,12 @@ class UvmManager:
 
     def _migrate(self, buf: ManagedBuffer, lo: int, hi: int, to: PageLocation) -> float:
         """Migrate pages [lo, hi] to ``to``; returns the cost in ns."""
-        pages = buf.residency[lo : hi + 1]
-        wrong = int(np.count_nonzero(pages != int(to)))
+        target = int(to)
+        residency = buf.residency
+        if lo == hi and residency.item(lo) == target:
+            return 0.0  # one page, already resident
+        pages = residency[lo : hi + 1]
+        wrong = int(np.count_nonzero(pages != target))
         if wrong == 0:
             return 0.0
         # Runtime faults fire before residency mutates, so a retried
@@ -155,7 +159,7 @@ class UvmManager:
         cost = wrong * spec.uvm_fault_ns + (
             wrong * UVM_PAGE / spec.uvm_migrate_bw * 1e9
         )
-        pages[:] = int(to)
+        pages[:] = target
         self.fault_count += wrong
         self.migrated_bytes += wrong * UVM_PAGE
         tracer = self.device.tracer

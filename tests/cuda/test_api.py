@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import CudaError
 from repro.cuda.api import FatBinary, ManagedUse
+from repro.cuda.interface import NativeBackend
 from repro.gpu.uvm import UVM_PAGE
 
 from tests.conftest import APP_FATBIN, build_machine
@@ -120,6 +121,54 @@ class TestMemcpy:
         p = backend.malloc(64)
         backend.memset(p, 0xAB, 64)
         assert backend.device_view(p, 64).tobytes() == b"\xab" * 64
+
+
+def _native_backend():
+    _, _, _, runtime = build_machine()
+    return NativeBackend(runtime)
+
+
+def _crac_backend():
+    from repro.core.session import CracSession
+
+    return CracSession(gpu="V100", seed=11).backend
+
+
+@pytest.mark.parametrize("make", [_native_backend, _crac_backend],
+                         ids=["native", "crac"])
+@pytest.mark.parametrize("kind,host_bytes,offset", [
+    ("h2d", 8, 0),    # source far smaller than the copy
+    ("h2d", 64, 8),   # source holds nbytes, but not past its offset
+    ("d2h", 8, 0),    # destination far smaller than the copy
+    ("d2h", 64, 8),
+])
+def test_short_numpy_host_end_is_rejected_before_the_copy(
+    make, kind, host_bytes, offset
+):
+    """A numpy host end too small for ``offset + nbytes`` raises a typed
+    INVALID_VALUE before the copy is enqueued: no PCIe time is charged
+    and no byte lands on either end."""
+    from repro.cuda.errors import CudaErrorCode
+
+    b = make()
+    nbytes = 64
+    p = b.malloc(nbytes)
+    b.device_view(p, nbytes)[:] = 7
+    host = np.full(host_bytes, 3, dtype=np.uint8)
+    dev = b.runtime.devices[0]
+    copied = dict(dev.copied_bytes)
+    ready = b.runtime.default_stream.ready_ns
+    if kind == "h2d":
+        args, offsets = (p, host), {"src_offset": offset}
+    else:
+        args, offsets = (host, p), {"dst_offset": offset}
+    with pytest.raises(CudaError) as err:
+        b.memcpy(*args, nbytes, kind, **offsets)
+    assert err.value.code is CudaErrorCode.INVALID_VALUE
+    assert dev.copied_bytes == copied
+    assert b.runtime.default_stream.ready_ns == ready
+    assert b.device_view(p, nbytes).tobytes() == bytes([7]) * nbytes
+    assert host.tobytes() == bytes([3]) * host_bytes
 
 
 class TestKernels:

@@ -41,6 +41,30 @@ def test_matches_dense_reference(ops):
     assert c.read_bytes(0, SIZE) == ref.tobytes()
 
 
+@settings(max_examples=120)
+@given(write_ops, st.integers(0, SIZE - 1), st.integers(0, 4096))
+def test_read_into_out_matches_reference(ops, lo, n):
+    """``read_bytes(..., out=)`` fills the array exactly as the bytes form
+    reads: over holes (a non-zero fill), partial spans and, via the last
+    write's own range, an exactly matching span."""
+    c = PagedContents(SIZE)
+    c.fill(0x5A)
+    apply(c, ops)
+    ref = np.full(SIZE, 0x5A, dtype=np.uint8)
+    for off, data in ops:
+        m = min(len(data), SIZE - off)
+        ref[off : off + m] = np.frombuffer(data[:m], dtype=np.uint8)
+    windows = [(lo, min(n, SIZE - lo))]
+    if ops:
+        off, data = ops[-1]
+        windows.append((off, min(len(data), SIZE - off)))
+    for w_lo, w_n in windows:
+        out = np.zeros(w_n, dtype=np.uint8)
+        assert c.read_bytes(w_lo, w_n, out=out) is None
+        assert out.tobytes() == ref[w_lo : w_lo + w_n].tobytes()
+        assert c.read_bytes(w_lo, w_n) == out.tobytes()
+
+
 @settings(max_examples=100)
 @given(write_ops)
 def test_snapshot_restore_roundtrip(ops):
