@@ -14,6 +14,7 @@ its own libc — two independent GNU link maps in one process.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from repro.cuda.api import CudaRuntime
 from repro.gpu.device import GpuDevice
@@ -77,8 +78,12 @@ ARENA_WINDOWS: dict[str, tuple[int, int]] = {
 }
 
 
+@cache
 def helper_image() -> ProgramImage:
-    """The lower-half helper: tiny app + CUDA libraries + its own libc."""
+    """The lower-half helper: tiny app + CUDA libraries + its own libc.
+
+    Images are frozen, so one instance serves every process.
+    """
     return ProgramImage(
         name="crac-helper",
         segments=(
@@ -95,8 +100,9 @@ def helper_image() -> ProgramImage:
     )
 
 
+@cache
 def default_app_image(name: str = "app") -> ProgramImage:
-    """A typical upper-half CUDA application image."""
+    """A typical upper-half CUDA application image (one per name)."""
     return ProgramImage(
         name=name,
         segments=(

@@ -16,6 +16,8 @@ At precheckpoint time the plugin:
 
 from __future__ import annotations
 
+import weakref
+
 from repro.core.trampoline import CracBackend
 from repro.dmtcp.image import CheckpointImage
 from repro.dmtcp.plugins import DmtcpPlugin
@@ -47,9 +49,15 @@ class CracPlugin(DmtcpPlugin):
 
     def __init__(self, session, *, full_arena: bool = False) -> None:
         # Bound to the session (not a specific process) because restart
-        # replaces the process/runtime under the same session.
-        self.session = session
+        # replaces the process/runtime under the same session. The
+        # session owns the plugin, never the reverse: a weak back-link
+        # lets a dropped session be freed by refcount.
+        self._session = weakref.ref(session)
         self.full_arena = full_arena
+
+    @property
+    def session(self):
+        return self._session()
 
     # -- checkpoint -----------------------------------------------------------
 

@@ -52,6 +52,7 @@ terminates — the property the hypothesis suite checks.
 from __future__ import annotations
 
 import random
+import weakref
 import zlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -750,9 +751,14 @@ class Watchdog:
 
     def __init__(self, session: CracSession,
                  limits: WatchdogLimits = DEFAULT_WATCHDOG_LIMITS) -> None:
-        self.session = session
+        # Weak: the session owns its fault domain and watchdog.
+        self._session = weakref.ref(session)
         self.limits = limits
         self.trips = 0
+
+    @property
+    def session(self) -> CracSession:
+        return self._session()
 
     def precheck(self, sync_scope) -> None:
         """Scan for poisoned streams before blocking on a sync.
@@ -812,7 +818,9 @@ class FaultDomain:
         max_backoff_s: float = 2.0,
         limits: WatchdogLimits = DEFAULT_WATCHDOG_LIMITS,
     ) -> None:
-        self.session = session
+        # Weak: the session owns its domain (``session.fault_domain``),
+        # so a dropped session is freed by refcount, not by a gen-2 pass.
+        self._session = weakref.ref(session)
         self.store = store
         self.retries = retries
         self.max_stream_resets = max_stream_resets
@@ -841,6 +849,10 @@ class FaultDomain:
         )
         self._in_recovery = False
         self.attach()
+
+    @property
+    def session(self) -> CracSession:
+        return self._session()
 
     def attach(self) -> None:
         """(Re-)wire the ladder into the session's current runtime."""

@@ -25,7 +25,7 @@ if TYPE_CHECKING:
     from repro.linux.address_space import MemoryRegion
 
 
-@dataclass
+@dataclass(slots=True)
 class SavedRegion:
     """One saved memory region (content + metadata).
 
@@ -58,7 +58,7 @@ class SavedRegion:
         return crc
 
 
-@dataclass
+@dataclass(slots=True)
 class SavedBlob:
     """A plugin-contributed payload.
 

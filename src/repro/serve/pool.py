@@ -220,10 +220,14 @@ class SessionPool:
                 images[record["generation"]] = shadow.get(gen).image
                 nbytes += record["size_bytes"]
                 retries += used
-        for other in self.nodes:
-            if other is not dst:
-                other.shadows.pop(sid, None)
-                self._ship_maps.pop((sid, other.name), None)
+        # The shadow's keep-N GC evicts old generations; map only what it
+        # still holds (an evicted one is never in the source's latest
+        # chain, so nothing is exported twice).
+        held = {id(shadow.get(g).image) for g in shadow.generations}
+        state["images"] = {
+            g: img for g, img in images.items() if id(img) in held
+        }
+        self.forget(sid, keep=dst)
         self.shipped_bytes += nbytes
         self.shipped_records += len(records)
         return {
@@ -238,6 +242,14 @@ class SessionPool:
         ownership of it as the session's new primary)."""
         self._ship_maps.pop((sid, node.name), None)
         return node.shadows.pop(sid, None)
+
+    def forget(self, sid: str, *, keep: ServeNode | None = None) -> None:
+        """Drop ``sid``'s shadow stores and ship maps on every node but
+        ``keep`` (all of them once the session is closed)."""
+        for node in self.nodes:
+            if node is not keep:
+                node.shadows.pop(sid, None)
+                self._ship_maps.pop((sid, node.name), None)
 
     def describe(self) -> str:
         """One-line human-readable summary."""

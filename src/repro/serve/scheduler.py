@@ -42,6 +42,7 @@ gate.
 from __future__ import annotations
 
 import random
+import weakref
 import zlib
 from dataclasses import dataclass, field
 
@@ -325,6 +326,7 @@ class ServeScheduler:
         )
         ok = digest == ref
         record.session.kill()
+        self.pool.forget(sid)
         record.node.hot.discard(sid)
         self.hot.discard(sid)
         record.state = "closed"
@@ -549,38 +551,48 @@ class ServeScheduler:
         self.metrics.counter("serve.rehomed_parked").inc()
 
     def _make_failover_handler(self, record: SessionRecord):
-        """Rung-4 handler: shadow store becomes primary on the buddy."""
+        """Rung-4 handler: shadow store becomes primary on the buddy.
+
+        The handler lives on ``record.domain``, so it holds the record
+        and the scheduler weakly: the scheduler owns its records, and a
+        dropped scheduler frees them by refcount.
+        """
+        sched_ref = weakref.ref(self)
+        record_ref = weakref.ref(record)
 
         def handler(exc: Exception) -> dict:
-            home = self.pool.shadow_home(record.sid)
-            if home is None:
-                raise ClusterError(
-                    f"session {record.sid!r} has no shipped shadow — "
-                    f"nothing to fail over to ({exc!r})"
-                )
-            self._ensure_slot(home)
-            session = record.session
-            if session.process.alive:
-                session.kill()
-            shadow = self.pool.drop_shadow(record.sid, home)
-            session.gpu = home.gpu
-            report = session.restart_latest(shadow, allow_heterogeneous=True)
-            record.node.hot.discard(record.sid)
-            record.store = shadow
-            record.domain.store = shadow
-            record.node = home
-            record.restart_epoch = len(session.restarts)
-            record.last_image = shadow.get(report.generation).image
-            home.hot.add(record.sid)
-            self.hot.touch(record.sid)
-            cut = shadow.get(report.generation).image.created_at_ns
-            return {
-                "node": home.name,
-                "generation": report.generation,
-                "cut_ns": cut,
-            }
+            return sched_ref()._fail_over(record_ref(), exc)
 
         return handler
+
+    def _fail_over(self, record: SessionRecord, exc: Exception) -> dict:
+        home = self.pool.shadow_home(record.sid)
+        if home is None:
+            raise ClusterError(
+                f"session {record.sid!r} has no shipped shadow — "
+                f"nothing to fail over to ({exc!r})"
+            )
+        self._ensure_slot(home)
+        session = record.session
+        if session.process.alive:
+            session.kill()
+        shadow = self.pool.drop_shadow(record.sid, home)
+        session.gpu = home.gpu
+        report = session.restart_latest(shadow, allow_heterogeneous=True)
+        record.node.hot.discard(record.sid)
+        record.store = shadow
+        record.domain.store = shadow
+        record.node = home
+        record.restart_epoch = len(session.restarts)
+        record.last_image = shadow.get(report.generation).image
+        home.hot.add(record.sid)
+        self.hot.touch(record.sid)
+        cut = shadow.get(report.generation).image.created_at_ns
+        return {
+            "node": home.name,
+            "generation": report.generation,
+            "cut_ns": cut,
+        }
 
     # -- introspection ---------------------------------------------------------
 

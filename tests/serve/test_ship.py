@@ -7,7 +7,7 @@ from repro.core.session import CracSession
 from repro.cuda.api import FatBinary
 from repro.dmtcp.store import CheckpointStore
 from repro.errors import CorruptCheckpointError
-from repro.serve import SessionPool
+from repro.serve import ServeScheduler, SessionPool
 
 FB = FatBinary("ship.fatbin", ("mutate",))
 N = 64
@@ -105,3 +105,39 @@ def test_corrupt_shipped_ancestor_fails_the_next_ship():
     with pytest.raises(CorruptCheckpointError):
         pool.ship("s0", store, "serve0", dst)
     session.kill()
+
+
+def churned_pool(n_sessions=6, rounds=20):
+    """Two one-slot nodes, so every request parks and ships a session."""
+    pool = SessionPool(2, slots=1, seed=0)
+    sched = ServeScheduler(pool, seed=0, state_elems=16)
+    sids = [f"s{k}" for k in range(n_sessions)]
+    for sid in sids:
+        sched.open_session(sid)
+    for _ in range(rounds):
+        for sid in sids:
+            sched.handle_request(sid)
+    return pool, sched, sids
+
+
+def test_ship_map_holds_exactly_the_shadow_generations():
+    pool, sched, sids = churned_pool()
+    assert max(r.parks for r in sched.records.values()) > 8
+    for (sid, node), state in pool._ship_maps.items():
+        shadow = pool.node(node).shadows[sid]
+        held = [shadow.get(g).image for g in shadow.generations]
+        assert len(state["images"]) == len(held)
+        assert {id(i) for i in state["images"].values()} == {
+            id(i) for i in held
+        }
+
+
+def test_close_session_leaves_no_shadow_or_ship_map():
+    pool, sched, sids = churned_pool(rounds=3)
+    for sid in sids:
+        assert sched.close_session(sid)["ok"]
+    for node in pool.nodes:
+        assert node.shadows == {}
+    assert pool._ship_maps == {}
+    # The closed session's own clock stays readable.
+    assert all(r.session.process.clock_ns > 0 for r in sched.records.values())
