@@ -3,19 +3,15 @@
 Runs ≥2 Rodinia apps with several mid-run cuts under each checkpoint
 mode and asserts the headline claim of the delta/forked pipeline:
 forked+incremental checkpointing cuts the app-visible checkpoint stall
-by at least 30% versus synchronous full checkpoints. The report is
-written to ``BENCH_delta_ckpt.json`` at the repo root so CI can upload
-it as an artifact.
+by at least 30% versus synchronous full checkpoints, with every mode's
+output digest equal to the uncheckpointed run's. The report is only
+printed, so the test never writes into the source tree; the committed
+``BENCH_delta_ckpt.json`` comes from ``repro ckpt-bench --smoke``.
 """
-
-import json
-from pathlib import Path
 
 from benchmarks.conftest import BENCH_SCALE, run_once
 from repro.apps.rodinia import Gaussian, Kmeans
 from repro.harness import format_report, run_ckpt_bench
-
-OUT = Path(__file__).resolve().parents[1] / "BENCH_delta_ckpt.json"
 
 
 def test_delta_ckpt_modes(benchmark):
@@ -29,7 +25,7 @@ def test_delta_ckpt_modes(benchmark):
     )
     print()
     print(format_report(report))
-    OUT.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    assert report["ok"], "a checkpointed run changed the output digest"
 
     for app, row in report["apps"].items():
         modes = row["modes"]
@@ -40,6 +36,6 @@ def test_delta_ckpt_modes(benchmark):
         red = row["reduction_pct"]["forked"]
         assert red >= 30.0, (
             f"{app}: forked+incremental reduced stall by only {red:.1f}% "
-            f"(claim: ≥30%) — see BENCH_delta_ckpt.json"
+            "(claim: ≥30%)"
         )
     assert report["summary"]["min_forked_reduction_pct"] >= 30.0

@@ -12,11 +12,9 @@ Commands:
   ``--session``) an end-to-end cross-validation that drives the real
   checkpoint pipeline with injected checkpoint/restore-stage faults;
 - ``ckpt-bench`` — full vs incremental vs forked checkpoint stall
-  comparison over Rodinia workloads, emitting ``BENCH_delta_ckpt.json``;
-- ``perf-bench`` — wall-clock benchmark of the dirty-tracking/sanitizer
-  hot paths (legacy vs vectorized, plus end-to-end capture/sanitize
-  timings) with a calibration-normalized regression gate against the
-  committed baseline; emits ``BENCH_perf.json``;
+  comparison over Rodinia workloads; fails when a checkpointed run's
+  output digest differs from the uncheckpointed run's; emits
+  ``BENCH_delta_ckpt.json``;
 - ``fault-campaign`` — GPU runtime fault campaign: sweep fault class ×
   MTBF over guarded application runs, report per-rung recovery counts,
   lost virtual work, and bit-correctness, plus the
@@ -29,8 +27,11 @@ Commands:
   of concurrent sessions through admission control, checkpoint-backed
   eviction, and the recovery ladder across fault cells (ECC, kernel
   hangs, node death, eviction storms); gates on zero lost sessions,
-  digest equality, and p99 resume latency vs the committed baseline;
-  emits ``BENCH_serve.json``;
+  digest equality, and each cell's p99 resume latency and throughput
+  vs the committed baseline; emits ``BENCH_serve.json``;
+- ``spec-bench`` — speculative vs forked checkpoint stall at equal
+  image fidelity, each app's stall ratio gated vs the committed
+  baseline; emits ``BENCH_spec.json``;
 - ``sanitize`` — compute-sanitizer-style hazard analysis: run one
   workload under the dynamic checkers (racecheck/synccheck/memcheck/
   initcheck), run the checkpoint-determinism lint, or run the full CI
@@ -41,6 +42,11 @@ Commands:
   https://ui.perfetto.dev), and emit ``BENCH_trace.json`` with the
   overhead ratio, digest equality, and busy-ns/eq. 2 cross-checks;
 - ``info``      — package version plus the calibrated cost model.
+
+``serve-bench`` and ``spec-bench`` share one baseline path
+(:mod:`repro.harness.baseline`): ``--baseline PATH`` names the committed
+file (``-`` runs without the gate), a missing file exits 1, and
+``--update-baseline`` re-records it.
 """
 
 from __future__ import annotations
@@ -164,36 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="CI smoke mode: cap the scale so the sweep "
                     "finishes in seconds")
     cb.add_argument("--seed", type=int, default=0)
-
-    pb = sub.add_parser(
-        "perf-bench",
-        help="hot-path wall-clock benchmark + perf-regression gate",
-    )
-    pb.add_argument("--apps", nargs="+", default=["gaussian", "kmeans"],
-                    choices=sorted(APP_REGISTRY),
-                    help="workloads for the end-to-end sections (the "
-                    "largest Rodinia apps by default)")
-    pb.add_argument("--scale", type=float, default=1.0)
-    pb.add_argument("--repeats", type=int, default=20,
-                    help="repetitions per wall metric (aggregated; "
-                    "higher = more stable)")
-    pb.add_argument("--cuts", type=int, default=4,
-                    help="number of evenly spaced checkpoint cuts")
-    pb.add_argument("--gpu", default="V100", choices=["V100", "K600"])
-    pb.add_argument("--baseline", default=None, metavar="PATH",
-                    help="baseline JSON to gate against (default: "
-                    "benchmarks/BENCH_perf_baseline.json; '-' to skip "
-                    "the gate)")
-    pb.add_argument("--update-baseline", action="store_true",
-                    help="write this run's metrics to the baseline path "
-                    "instead of gating against it")
-    pb.add_argument("--out", default="BENCH_perf.json",
-                    metavar="PATH", help="write the JSON report here "
-                    "('-' to skip)")
-    pb.add_argument("--smoke", action="store_true",
-                    help="CI smoke mode: fewer repeats and smaller "
-                    "micro traces so the bench finishes in seconds")
-    pb.add_argument("--seed", type=int, default=0)
 
     fc = sub.add_parser(
         "fault-campaign",
@@ -550,10 +526,44 @@ def cmd_fault_sim(args, out) -> int:
     return 0
 
 
+def _write_report(report: dict, path: str, out) -> None:
+    """Write ``report`` as sorted, indented JSON to ``path`` (``-``
+    skips the file)."""
+    from repro.harness.baseline import write_json
+
+    if path != "-":
+        write_json(path, report)
+        print(f"\nwrote {path}", file=out)
+
+
+def _run_gated(args, out, bench: str, default: str, run, fmt,
+               payload) -> int:
+    """Run a baseline-gated bench (``serve-bench``, ``spec-bench``).
+
+    ``run(path)`` runs the bench against the baseline at ``path``
+    (``None``: record only, for ``--baseline -`` and
+    ``--update-baseline``). A named baseline that does not exist exits 1
+    before the bench runs.
+    """
+    import os
+
+    path = args.baseline or default
+    gate_path = None if args.update_baseline or args.baseline == "-" else path
+    if gate_path is not None and not os.path.exists(gate_path):
+        print(f"error: no {bench} baseline at {gate_path}; record one "
+              "with --update-baseline, or pass --baseline - to run "
+              "without the gate", file=out)
+        return 1
+    report = run(gate_path)
+    print(fmt(report), file=out)
+    _write_report(report, args.out, out)
+    if args.update_baseline:
+        _write_report(payload(report), path, out)
+    return 0 if report["ok"] else 1
+
+
 def cmd_ckpt_bench(args, out) -> int:
     """``repro ckpt-bench``: checkpoint-mode stall sweep + JSON report."""
-    import json
-
     from repro.harness.ckpt_bench import format_report, run_ckpt_bench
 
     scale = min(args.scale, 0.25) if args.smoke else args.scale
@@ -565,65 +575,12 @@ def cmd_ckpt_bench(args, out) -> int:
         gpu=args.gpu,
     )
     print(format_report(report), file=out)
-    if args.out != "-":
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {args.out}", file=out)
-    return 0
-
-
-def cmd_perf_bench(args, out) -> int:
-    """``repro perf-bench``: hot-path wall bench + regression gate."""
-    import json
-    import os
-
-    from repro.harness.perf_bench import (
-        DEFAULT_BASELINE,
-        baseline_payload,
-        format_report,
-        run_perf_bench,
-    )
-
-    baseline_path = args.baseline or DEFAULT_BASELINE
-    baseline = None
-    if not args.update_baseline and args.baseline != "-":
-        if os.path.exists(baseline_path):
-            with open(baseline_path) as fh:
-                baseline = json.load(fh)
-        else:
-            print(f"note: no baseline at {baseline_path}; "
-                  "gate records this run only", file=out)
-    repeats = min(args.repeats, 10) if args.smoke else args.repeats
-    report = run_perf_bench(
-        [APP_REGISTRY[name] for name in args.apps],
-        scale=args.scale,
-        repeats=repeats,
-        n_cuts=args.cuts,
-        seed=args.seed,
-        gpu=args.gpu,
-        smoke=args.smoke,
-        baseline=baseline,
-    )
-    print(format_report(report), file=out)
-    if args.out != "-":
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {args.out}", file=out)
-    if args.update_baseline:
-        with open(baseline_path, "w") as fh:
-            json.dump(baseline_payload(report), fh, indent=2,
-                      sort_keys=True)
-            fh.write("\n")
-        print(f"wrote baseline {baseline_path}", file=out)
+    _write_report(report, args.out, out)
     return 0 if report["ok"] else 1
 
 
 def cmd_fault_campaign(args, out) -> int:
     """``repro fault-campaign``: runtime fault sweep + JSON report."""
-    import json
-
     from repro.harness.fault_tolerance import (
         format_fault_campaign,
         run_fault_campaign,
@@ -646,18 +603,12 @@ def cmd_fault_campaign(args, out) -> int:
         rank_death_ranks=args.ranks,
     )
     print(format_fault_campaign(report), file=out)
-    if args.out != "-":
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {args.out}", file=out)
+    _write_report(report, args.out, out)
     return 0
 
 
 def cmd_migrate(args, out) -> int:
     """``repro migrate``: cluster migration bench + JSON report."""
-    import json
-
     from repro.harness.migrate_bench import (
         format_migration_bench,
         run_migration_bench,
@@ -675,19 +626,12 @@ def cmd_migrate(args, out) -> int:
         smoke=args.smoke,
     )
     print(format_migration_bench(report), file=out)
-    if args.out != "-":
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {args.out}", file=out)
+    _write_report(report, args.out, out)
     return 0
 
 
 def cmd_serve_bench(args, out) -> int:
     """``repro serve-bench``: serving-tier chaos campaign + gate."""
-    import json
-    import os
-
     from repro.harness.serve_bench import (
         DEFAULT_BASELINE,
         baseline_payload,
@@ -695,45 +639,24 @@ def cmd_serve_bench(args, out) -> int:
         run_serve_bench,
     )
 
-    baseline_path = args.baseline or DEFAULT_BASELINE
-    gate_path: str | None = baseline_path
-    if args.update_baseline or args.baseline == "-":
-        gate_path = None
-    elif not os.path.exists(baseline_path):
-        print(f"error: no serve baseline at {baseline_path}; record one "
-              "with --update-baseline, or pass --baseline - to run "
-              "without the gate", file=out)
-        return 1
-    report = run_serve_bench(
-        sessions=args.sessions,
-        nodes=args.nodes,
-        slots=args.slots,
-        waves=args.waves,
-        seed=args.seed,
-        state_elems=args.state_elems,
-        smoke=args.smoke,
-        baseline=gate_path,
+    return _run_gated(
+        args, out, "serve", DEFAULT_BASELINE,
+        lambda baseline: run_serve_bench(
+            sessions=args.sessions,
+            nodes=args.nodes,
+            slots=args.slots,
+            waves=args.waves,
+            seed=args.seed,
+            state_elems=args.state_elems,
+            smoke=args.smoke,
+            baseline=baseline,
+        ),
+        format_serve_bench, baseline_payload,
     )
-    print(format_serve_bench(report), file=out)
-    if args.out != "-":
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {args.out}", file=out)
-    if args.update_baseline:
-        with open(baseline_path, "w") as fh:
-            json.dump(baseline_payload(report), fh, indent=2,
-                      sort_keys=True)
-            fh.write("\n")
-        print(f"wrote baseline {baseline_path}", file=out)
-    return 0 if report["ok"] else 1
 
 
 def cmd_spec_bench(args, out) -> int:
     """``repro spec-bench``: speculative vs forked stall + fidelity."""
-    import json
-    import os
-
     from repro.harness.spec_bench import (
         DEFAULT_BASELINE,
         baseline_payload,
@@ -741,54 +664,30 @@ def cmd_spec_bench(args, out) -> int:
         run_spec_bench,
     )
 
-    baseline_path = args.baseline or DEFAULT_BASELINE
-    baseline = None
-    if not args.update_baseline and args.baseline != "-":
-        if os.path.exists(baseline_path):
-            with open(baseline_path) as fh:
-                baseline = json.load(fh)
-        else:
-            print(f"note: no baseline at {baseline_path}; "
-                  "gate records this run only", file=out)
-    report = run_spec_bench(
-        [APP_REGISTRY[name] for name in args.apps],
-        scale=args.scale,
-        n_cuts=args.cuts,
-        seed=args.seed,
-        gpu=args.gpu,
-        smoke=args.smoke,
-        baseline=baseline,
+    return _run_gated(
+        args, out, "spec", DEFAULT_BASELINE,
+        lambda baseline: run_spec_bench(
+            [APP_REGISTRY[name] for name in args.apps],
+            scale=args.scale,
+            n_cuts=args.cuts,
+            seed=args.seed,
+            gpu=args.gpu,
+            smoke=args.smoke,
+            baseline=baseline,
+        ),
+        format_report, baseline_payload,
     )
-    print(format_report(report), file=out)
-    if args.out != "-":
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {args.out}", file=out)
-    if args.update_baseline:
-        with open(baseline_path, "w") as fh:
-            json.dump(baseline_payload(report), fh, indent=2,
-                      sort_keys=True)
-            fh.write("\n")
-        print(f"wrote baseline {baseline_path}", file=out)
-    return 0 if report["ok"] else 1
 
 
 def cmd_sanitize(args, out) -> int:
     """``repro sanitize``: hazard analysis / lint / CI gate."""
-    import json
-
     if args.gate:
         from repro.sanitizer.gate import format_gate, run_gate
 
         scale = min(args.scale, 0.05) if args.smoke else args.scale
         report = run_gate(scale=scale, gpu=args.gpu, seed=args.seed)
         print(format_gate(report), file=out)
-        if args.out != "-":
-            with open(args.out, "w") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"\nwrote {args.out}", file=out)
+        _write_report(report, args.out, out)
         return 0 if report["ok"] else 1
 
     if args.lint:
@@ -824,8 +723,6 @@ def cmd_sanitize(args, out) -> int:
 
 def cmd_analyze(args, out) -> int:
     """``repro analyze``: static wiring/determinism analysis + gate."""
-    import json
-
     from repro.analysis.engine import (
         analyze_package,
         findings_from_report,
@@ -909,27 +806,17 @@ def cmd_analyze(args, out) -> int:
         )
         ok = False
 
-    if args.out != "-":
-        payload = dict(report)
-        if gate is not None:
-            payload["corpus_gate"] = gate
-        payload["ok"] = ok
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.out}", file=out)
+    payload = dict(report, ok=ok)
+    if gate is not None:
+        payload["corpus_gate"] = gate
+    _write_report(payload, args.out, out)
     if args.sarif is not None:
-        with open(args.sarif, "w") as fh:
-            json.dump(to_sarif(findings), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.sarif}", file=out)
+        _write_report(to_sarif(findings), args.sarif, out)
     return 0 if ok else 1
 
 
 def cmd_trace(args, out) -> int:
     """``repro trace APP``: traced run + Chrome trace + JSON report."""
-    import json
-
     from repro.harness.trace_bench import format_trace_bench, run_trace_bench
     from repro.trace import write_chrome_trace
 
@@ -950,11 +837,7 @@ def cmd_trace(args, out) -> int:
         write_chrome_trace(tracer, trace_out, label=report["app"])
         print(f"\nwrote {trace_out} (load at https://ui.perfetto.dev)",
               file=out)
-    if args.out != "-":
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.out}", file=out)
+    _write_report(report, args.out, out)
     return 0 if report["ok"] else 1
 
 
@@ -1016,8 +899,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return cmd_fault_sim(args, out)
     if args.command == "ckpt-bench":
         return cmd_ckpt_bench(args, out)
-    if args.command == "perf-bench":
-        return cmd_perf_bench(args, out)
     if args.command == "fault-campaign":
         return cmd_fault_campaign(args, out)
     if args.command == "migrate":

@@ -3,16 +3,13 @@
 This module preserves the original pure-Python span-list algorithms
 that :class:`repro.gpu.memory.PagedContents` used for dirty/epoch
 tracking before the numpy :class:`repro.gpu.intervals.EpochIntervalIndex`
-replaced them. It exists for two reasons:
-
-- the Hypothesis equivalence suite
-  (``tests/gpu/test_dirty_vector_equivalence.py``) runs random op
-  sequences against both implementations and asserts observational
-  equality, which is what lets the vectorized index claim *exact*
-  epoch-bounded-commit semantics rather than "probably the same";
-- ``repro perf-bench`` measures the micro speedup of the new index
-  against this one on synthetic write traces, backing the ROADMAP's
-  ≥5x target with an apples-to-apples number.
+replaced them. It exists as the reference implementation for the
+Hypothesis equivalence suite
+(``tests/gpu/test_dirty_vector_equivalence.py``), which runs random op
+sequences against both implementations and asserts observational
+equality, down to the exact span lists. That is what lets the
+vectorized index claim *exact* epoch-bounded-commit semantics rather
+than "probably the same".
 
 Do not use this in the runtime path; it is O(spans) per write.
 """

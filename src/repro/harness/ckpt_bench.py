@@ -8,6 +8,10 @@ quantity CRUM/PhoenixOS-style forked checkpointing attacks: delta
 encoding shrinks the image, forking moves its write off the critical
 path so only quiesce + snapshot + COW remain as stall.
 
+Every checkpointed run must also produce the uncheckpointed run's
+output digest (``digest_match`` per mode); the report's ``ok`` is false
+otherwise, and ``repro ckpt-bench`` exits 1.
+
 ``repro ckpt-bench`` drives this and emits ``BENCH_delta_ckpt.json``;
 ``benchmarks/test_delta_ckpt.py`` asserts the ≥30% stall reduction.
 """
@@ -84,6 +88,7 @@ def run_ckpt_bench(
                 "stall_s": res.runtime_exact_s - baseline.runtime_exact_s,
                 "image_mb": [r.size_mb for r in res.checkpoints],
                 "ckpt_s": [r.checkpoint_s for r in res.checkpoints],
+                "digest_match": res.digest == baseline.digest,
             }
         full_stall = entry["modes"]["full"]["stall_s"]
         for mode in ("incremental", "forked"):
@@ -100,6 +105,11 @@ def run_ckpt_bench(
         "max_forked_reduction_pct": max(reductions),
         "n_cuts": n_cuts,
     }
+    report["ok"] = all(
+        m["digest_match"]
+        for e in report["apps"].values()
+        for m in e["modes"].values()
+    )
     return report
 
 
@@ -129,7 +139,11 @@ def format_report(report: dict) -> str:
             )
     s = report["summary"]
     lines.append(
-        f"\nforked+incremental stall reduction vs full: "
+        "\noutput digests match the uncheckpointed runs: "
+        + ("yes" if report["ok"] else "NO")
+    )
+    lines.append(
+        f"forked+incremental stall reduction vs full: "
         f"{s['min_forked_reduction_pct']:.1f}%–"
         f"{s['max_forked_reduction_pct']:.1f}% "
         f"across {len(report['apps'])} apps, {s['n_cuts']} cuts"

@@ -8,9 +8,12 @@ regimes — and holds the result to three hard requirements:
   eviction, quarantine, or node death);
 - **every digest equal** — each closed session's state vector matches
   the pure-numpy reference replay of exactly the requests it served;
-- **bounded resume latency** — p99 rehydrate/failover resume must not
-  regress more than :data:`RESUME_REGRESSION_LIMIT` against the
-  committed baseline (virtual time, so the gate is deterministic).
+- **bounded resume latency, per cell** — each cell's p99
+  rehydrate/failover resume must not regress more than
+  :data:`RESUME_REGRESSION_LIMIT`, nor its sessions/sec fall below
+  :data:`THROUGHPUT_FLOOR`, against that cell in the committed
+  baseline (virtual time, so the gate is deterministic). A missing
+  baseline, or a cell it lacks, fails the gate.
 
 Cells (all sharing the session/wave schedule, differing only in faults):
 
@@ -34,12 +37,11 @@ wall time per cell for CI budget tracking.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 from repro.errors import AdmissionRejectedError, ServeDeadlineExceededError
 from repro.gpu.timing import NS_PER_S
+from repro.harness.baseline import Bound, format_gate, gate, record
 from repro.harness.fault_injection import FaultSpec, derive_seed
 from repro.serve.admission import AdmissionController
 from repro.serve.pool import SessionPool
@@ -52,6 +54,18 @@ DEFAULT_BASELINE = "benchmarks/BENCH_serve_baseline.json"
 RESUME_REGRESSION_LIMIT = 1.25
 #: Sessions/sec ratio *below* which the CI gate fails.
 THROUGHPUT_FLOOR = 0.80
+#: Damping floor (ms) on both sides of the p99 ratio, so a
+#: sub-millisecond baseline cannot flip the gate on rounding.
+RESUME_FLOOR_MS = 0.05
+#: Per-cell gate: ``(p99 + floor) / (base + floor) <= limit`` rewritten
+#: as ``p99 <= limit × base + (limit - 1) × floor``.
+BOUNDS = {
+    "resume_p99_ms": Bound(
+        RESUME_REGRESSION_LIMIT,
+        slack=(RESUME_REGRESSION_LIMIT - 1.0) * RESUME_FLOOR_MS,
+    ),
+    "sessions_per_sec": Bound(THROUGHPUT_FLOOR, higher_is_better=True),
+}
 
 _NS_PER_MS = 1e6
 
@@ -162,45 +176,14 @@ def run_cell(
     return summary, sched.metrics
 
 
-def evaluate_gate(report: dict, baseline_path: str | None) -> dict:
-    """Compare campaign totals against the committed baseline.
+def _by_cell(report: dict) -> dict[str, dict]:
+    return {c["cell"]: c for c in report["cells"]}
 
-    ``baseline_path=None`` records the run without gating it. A named
-    baseline that does not exist fails the gate: it can never pass
-    vacuously.
-    """
-    gate: dict = {
-        "baseline": baseline_path,
-        "baseline_found": False,
-        "resume_limit": RESUME_REGRESSION_LIMIT,
-        "throughput_floor": THROUGHPUT_FLOOR,
-    }
-    if baseline_path is None:
-        gate["ok"] = True
-        return gate
-    if not os.path.exists(baseline_path):
-        gate["ok"] = False
-        return gate
-    with open(baseline_path) as fh:
-        base = json.load(fh)
-    gate["baseline_found"] = True
-    totals = report["totals"]
-    base_p99 = base["resume_p99_ms"]
-    base_tput = base["sessions_per_sec"]
-    # A sub-millisecond baseline would let scheduler-grade noise flip
-    # the gate; floor both sides the way perf-bench does.
-    floor = 0.05
-    gate["resume_ratio"] = (totals["resume_p99_ms"] + floor) / (
-        base_p99 + floor
-    )
-    gate["throughput_ratio"] = (
-        totals["sessions_per_sec"] / base_tput if base_tput else 1.0
-    )
-    gate["ok"] = (
-        gate["resume_ratio"] <= RESUME_REGRESSION_LIMIT
-        and gate["throughput_ratio"] >= THROUGHPUT_FLOOR
-    )
-    return gate
+
+def evaluate_gate(report: dict, baseline_path: str | None) -> dict:
+    """Gate every cell's p99 resume and throughput against the committed
+    baseline (:func:`repro.harness.baseline.gate`)."""
+    return gate(_by_cell(report), baseline_path, BOUNDS)
 
 
 def run_serve_bench(
@@ -221,7 +204,7 @@ def run_serve_bench(
     cells = ["baseline", "ecc", "kernel-hang", "node-death", "eviction-storm"]
     report: dict = {
         "benchmark": "serve-bench",
-        "version": 1,
+        "version": 2,
         "smoke": smoke,
         "config": {
             "sessions": sessions,
@@ -298,9 +281,7 @@ def baseline_payload(report: dict) -> dict:
         "version": report["version"],
         "config": report["config"],
         "smoke": report["smoke"],
-        "resume_p50_ms": report["totals"]["resume_p50_ms"],
-        "resume_p99_ms": report["totals"]["resume_p99_ms"],
-        "sessions_per_sec": report["totals"]["sessions_per_sec"],
+        **record(_by_cell(report), BOUNDS),
     }
 
 
@@ -331,17 +312,6 @@ def format_serve_bench(report: dict) -> str:
         f"p50/p99 resume {t['resume_p50_ms']:.2f}/{t['resume_p99_ms']:.2f}ms, "
         f"{t['sessions_per_sec']:.1f} sessions/s"
     )
-    gate = report["gate"]
-    if gate["baseline"] is None:
-        lines.append("  gate:   no baseline — recording run only")
-    elif not gate["baseline_found"]:
-        lines.append(f"  gate:   FAILED — no baseline at {gate['baseline']}")
-    else:
-        lines.append(
-            f"  gate:   p99 ratio {gate['resume_ratio']:.2f} "
-            f"(limit {gate['resume_limit']:.2f}), throughput ratio "
-            f"{gate['throughput_ratio']:.2f} "
-            f"(floor {gate['throughput_floor']:.2f})"
-        )
+    lines.extend(f"  {line}" for line in format_gate(report["gate"]))
     lines.append(f"  result: {'OK' if report['ok'] else 'FAILED'}")
     return "\n".join(lines)

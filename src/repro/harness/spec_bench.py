@@ -20,7 +20,8 @@ Fidelity cells make sure the speed is not bought with torn images:
 ``repro spec-bench`` drives this and emits ``BENCH_spec.json``; the CI
 gate also compares each app's stall ratio against the committed
 ``benchmarks/BENCH_spec_baseline.json`` so the near-zero property
-cannot silently regress.
+cannot silently regress. A missing baseline, or an app it lacks, fails
+the gate.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.session import CracSession
+from repro.harness.baseline import Bound, format_gate, gate, record
 from repro.harness.ckpt_bench import default_cuts
 from repro.harness.runner import Machine, run_app
 
@@ -42,6 +44,8 @@ REGRESSION_LIMIT = 1.25
 #: Damping floor (seconds) added to both sides of the stall ratio so a
 #: sub-millisecond stall cannot flip the gate on rounding.
 STALL_FLOOR_S = 1e-3
+#: Per-app gate: ``ratio <= limit × baseline + floor``.
+BOUNDS = {"stall_ratio": Bound(REGRESSION_LIMIT, slack=STALL_FLOOR_S)}
 
 
 def _forced_conflict_cell(*, seed: int, gpu: str) -> dict:
@@ -87,7 +91,7 @@ def run_spec_bench(
     seed: int = 0,
     gpu: str = "V100",
     smoke: bool = False,
-    baseline: dict | None = None,
+    baseline: str | None = None,
 ) -> dict:
     """Run the forked-vs-speculative stall comparison; returns the
     gated report (``report["ok"]``).
@@ -96,6 +100,8 @@ def run_spec_bench(
     alive so the runtime delta against the uncheckpointed baseline
     isolates the stall exactly; the fidelity run restarts from the last
     speculative image and must reproduce the baseline digest.
+    ``baseline`` names the committed baseline file to gate each app's
+    stall ratio against (``None`` records the run without gating it).
     """
     if smoke:
         scale = min(scale, 0.25)
@@ -188,20 +194,10 @@ def run_spec_bench(
         f"digest_equal={conflict['digest_equal']}",
     )
 
-    if baseline:
-        for app_name, entry in report["apps"].items():
-            prior = baseline.get("stall_ratio", {}).get(app_name)
-            if prior is None:
-                continue
-            limit = prior * REGRESSION_LIMIT + STALL_FLOOR_S
-            check(
-                f"{app_name}: stall ratio vs committed baseline",
-                entry["stall_ratio"] <= limit,
-                f"ratio {entry['stall_ratio']:.3f} vs baseline "
-                f"{prior:.3f} (limit {limit:.3f})",
-            )
-
-    report["ok"] = all(c["ok"] for c in report["checks"])
+    report["gate"] = gate(report["apps"], baseline, BOUNDS)
+    report["ok"] = (
+        all(c["ok"] for c in report["checks"]) and report["gate"]["ok"]
+    )
     return report
 
 
@@ -212,10 +208,7 @@ def baseline_payload(report: dict) -> dict:
         "version": report["version"],
         "settings": report["settings"],
         "smoke": report["smoke"],
-        "stall_ratio": {
-            app: entry["stall_ratio"]
-            for app, entry in sorted(report["apps"].items())
-        },
+        **record(report["apps"], BOUNDS),
     }
 
 
@@ -263,5 +256,6 @@ def format_report(report: dict) -> str:
             f"  [{'PASS' if chk['ok'] else 'FAIL'}] {chk['name']} — "
             f"{chk['detail']}"
         )
+    lines.extend(format_gate(report["gate"]))
     lines.append(f"\nspec-bench: {'PASS' if report['ok'] else 'FAIL'}")
     return "\n".join(lines)

@@ -113,7 +113,8 @@ class SessionRecord:
     node: ServeNode
     session: CracSession
     domain: FaultDomain
-    store: CheckpointStore  # primary (lives on .node; dies with it)
+    #: primary (lives on .node; dies with it); None once closed
+    store: CheckpointStore | None
     addr: int
     nbytes: int
     #: "hot" | "parked" | "quarantined" | "closed" | "lost"
@@ -330,6 +331,9 @@ class ServeScheduler:
         record.node.hot.discard(sid)
         self.hot.discard(sid)
         record.state = "closed"
+        # Release the primary store and its generations; the killed
+        # session stays for callers that read its clock after close.
+        record.store = record.domain.store = record.last_image = None
         self.metrics.counter("serve.sessions.closed").inc()
         if not ok:
             self.metrics.counter("serve.sessions.digest_mismatch").inc()

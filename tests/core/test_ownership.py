@@ -78,3 +78,27 @@ def test_program_images_are_built_once():
     assert default_app_image() is default_app_image()
     a, b = SplitProcess(seed=1), SplitProcess(seed=2)
     assert a.app_image is b.app_image
+
+
+def test_closed_session_releases_its_store_while_scheduler_lives(no_gc):
+    pool = SessionPool(2, slots=1, seed=0)
+    sched = ServeScheduler(pool, seed=0, state_elems=16)
+    sids = [f"s{k}" for k in range(6)]
+    for sid in sids:
+        sched.open_session(sid)
+    for _ in range(4):
+        for sid in sids:
+            sched.handle_request(sid)
+    record = sched.records["s2"]
+    assert len(record.store.generations) > 1  # parks left a lineage
+    store_ref = weakref.ref(record.store)
+    assert sched.close_session("s2")["ok"]
+    assert store_ref() is None
+    # The closed record still answers for its clock; the others serve on.
+    assert record.session.process.clock_ns > 0
+    assert "closed=1" in sched.describe()
+    sched.sweep()
+    for sid in sids:
+        if sid != "s2":
+            sched.handle_request(sid)
+            assert sched.close_session(sid)["ok"]

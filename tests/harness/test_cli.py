@@ -111,6 +111,36 @@ class TestCkptBench:
         for mode in row["modes"].values():
             assert mode["runtime_s"] >= row["baseline_s"]
         assert "min_forked_reduction_pct" in report["summary"]
+        assert all(m["digest_match"] for m in row["modes"].values())
+        assert report["ok"]
+
+    def test_digest_mismatch_fails(self, tmp_path, monkeypatch):
+        import json
+
+        import repro.harness.ckpt_bench as ckpt_bench
+
+        real_run_app = ckpt_bench.run_app
+
+        def run_app(app, machine, **kwargs):
+            result = real_run_app(app, machine, **kwargs)
+            if kwargs.get("forked"):
+                result.digest ^= 1  # a torn forked image
+            return result
+
+        monkeypatch.setattr(ckpt_bench, "run_app", run_app)
+        out_path = tmp_path / "BENCH_delta_ckpt.json"
+        code, text = run_cli(
+            "ckpt-bench", "--apps", "bfs", "--scale", "0.02", "--cuts", "1",
+            "--out", str(out_path),
+        )
+        assert code == 1
+        assert "output digests match the uncheckpointed runs: NO" in text
+        report = json.loads(out_path.read_text())
+        modes = report["apps"]["BFS"]["modes"]
+        assert {m: v["digest_match"] for m, v in modes.items()} == {
+            "full": True, "incremental": True, "forked": False,
+        }
+        assert report["ok"] is False
 
     def test_dash_out_skips_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -201,6 +231,36 @@ class TestSpecBench:
         payload = json.loads(baseline_path.read_text())
         assert payload["benchmark"] == "spec-baseline"
         assert "Kmeans" in payload["stall_ratio"]
+
+    def test_missing_named_baseline_exits_1(self, tmp_path):
+        missing = tmp_path / "missing.json"
+        code, text = run_cli(
+            "spec-bench", "--smoke", "--apps", "kmeans", "--scale", "0.1",
+            "--cuts", "1", "--baseline", str(missing), "--out", "-",
+        )
+        assert code == 1
+        assert f"no spec baseline at {missing}" in text
+
+    def test_app_missing_from_baseline_fails(self, tmp_path):
+        import json
+
+        baseline_path = tmp_path / "BENCH_spec_baseline.json"
+        # A baseline that gates Gaussian only; this run is Kmeans.
+        baseline_path.write_text(json.dumps(
+            {"benchmark": "spec-baseline", "stall_ratio": {"Gaussian": 0.03}}
+        ))
+        out_path = tmp_path / "BENCH_spec.json"
+        code, text = run_cli(
+            "spec-bench", "--smoke", "--apps", "kmeans", "--scale", "0.1",
+            "--cuts", "1", "--baseline", str(baseline_path),
+            "--out", str(out_path),
+        )
+        assert code == 1
+        assert "[FAIL] Kmeans stall_ratio: missing from baseline" in text
+        report = json.loads(out_path.read_text())
+        assert report["apps"]["Kmeans"]["digest_equal"]
+        assert report["gate"]["ok"] is False
+        assert report["ok"] is False
 
     def test_unknown_app_rejected(self):
         with pytest.raises(SystemExit):

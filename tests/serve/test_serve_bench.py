@@ -68,13 +68,60 @@ def test_gate_against_baseline_file(tiny_report, tmp_path):
     path.write_text(json.dumps(baseline_payload(tiny_report)))
     gate = evaluate_gate(tiny_report, str(path))
     assert gate["baseline_found"]
-    assert gate["resume_ratio"] == pytest.approx(1.0)
-    assert gate["throughput_ratio"] == pytest.approx(1.0)
+    # One check per cell per gated metric, each against its own cell.
+    assert len(gate["checks"]) == 2 * len(tiny_report["cells"])
+    for check in gate["checks"]:
+        assert check["value"] == check["baseline"]
     assert gate["ok"]
     # A regressed run fails the gate.
     worse = json.loads(json.dumps(tiny_report))
-    worse["totals"]["resume_p99_ms"] *= 2.0
+    worse["cells"][0]["resume_p99_ms"] *= 2.0
     assert not evaluate_gate(worse, str(path))["ok"]
+
+
+def _synthetic_report(p99_by_cell: dict) -> dict:
+    cells = [
+        {"cell": cell, "resume_p99_ms": p99, "resume_p50_ms": 75.9,
+         "sessions_per_sec": 16.4}
+        for cell, p99 in p99_by_cell.items()
+    ]
+    return {
+        "version": 2, "config": {}, "smoke": True, "cells": cells,
+        "totals": {
+            "resume_p50_ms": 75.9,
+            "resume_p99_ms": max(p99_by_cell.values()),
+            "sessions_per_sec": 16.4,
+        },
+    }
+
+
+def test_one_cell_regression_cannot_hide_behind_the_worst_cell(tmp_path):
+    before = {"baseline": 76.1, "node-death": 3153.7}
+    path = tmp_path / "baseline.json"
+    path.write_text(json.dumps(baseline_payload(_synthetic_report(before))))
+    # The baseline cell regresses 40x; node-death (the worst cell, and
+    # so the campaign-wide p99) is unchanged.
+    after = _synthetic_report(dict(before, baseline=76.1 * 40))
+    assert after["totals"] == _synthetic_report(before)["totals"]
+    gate = evaluate_gate(after, str(path))
+    assert gate["ok"] is False
+    failed = [(c["key"], c["metric"]) for c in gate["checks"] if not c["ok"]]
+    assert failed == [("baseline", "resume_p99_ms")]
+
+
+def test_cell_missing_from_baseline_fails(tmp_path):
+    path = tmp_path / "baseline.json"
+    path.write_text(json.dumps(
+        baseline_payload(_synthetic_report({"baseline": 76.1}))
+    ))
+    gate = evaluate_gate(
+        _synthetic_report({"baseline": 76.1, "node-death": 3153.7}),
+        str(path),
+    )
+    assert gate["ok"] is False
+    assert [c["key"] for c in gate["checks"] if not c["ok"]] == [
+        "node-death", "node-death",
+    ]
 
 
 def test_no_baseline_records_only(tiny_report):
